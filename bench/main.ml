@@ -810,9 +810,14 @@ let bench_stencil () =
       ("cranelift", Engine.cranelift) ]
   in
   (* artifact generation only: plan lowering and linking are shared
-     pipeline stages every back-end pays identically *)
-  let reps = 5 in
-  let artifact_s =
+     pipeline stages every back-end pays identically. One sweep of the
+     22 modules takes well under a millisecond on the stencil tier, so
+     each sample repeats the sweep until it lasts at least [min_sample_s]
+     and reports the time per sweep. The contenders take turns sample by
+     sample, so a drift in host speed hits them alike; the gate ratio is
+     the median over the [samples] rounds of the per-round ratio. *)
+  let samples = 11 and min_sample_s = 0.05 in
+  let sweepers =
     List.map
       (fun (name, b) ->
         let gen =
@@ -821,25 +826,43 @@ let bench_stencil () =
           | None -> failwith (name ^ " has no artifact path")
         in
         let timing = Timing.create ~enabled:false () in
-        let sweep () =
+        let sweeps k =
           let t0 = Timing.now () in
-          List.iter
-            (fun (_, m) ->
-              ignore (gen ~timing ~target:Target.x64 ~registry:db.Engine.registry m))
-            modules;
+          for _ = 1 to k do
+            List.iter
+              (fun (_, m) ->
+                ignore
+                  (gen ~timing ~target:Target.x64 ~registry:db.Engine.registry m))
+              modules
+          done;
           Timing.now () -. t0
         in
-        ignore (sweep ());
-        (* warm-up *)
-        let best = ref infinity in
-        for _ = 1 to reps do
-          best := Float.min !best (sweep ())
-        done;
-        (name, !best))
+        ignore (sweeps 1);
+        (* warm-up, then size the sample from one more sweep *)
+        let k = max 1 (int_of_float (Float.ceil (min_sample_s /. sweeps 1))) in
+        (name, fun () -> sweeps k /. float_of_int k))
+      contenders
+  in
+  let rounds =
+    List.init samples (fun _ -> List.map (fun (n, sample) -> (n, sample ())) sweepers)
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let artifact_s =
+    List.map
+      (fun (n, _) -> (n, median (List.map (List.assoc n) rounds)))
       contenders
   in
   let gen_of n = List.assoc n artifact_s in
-  let ratio = gen_of "directemit" /. gen_of "stencil" in
+  let ratio =
+    median
+      (List.map
+         (fun r -> List.assoc "directemit" r /. List.assoc "stencil" r)
+         rounds)
+  in
   (* end-to-end runs: compile+execute, checksums against the interpreter *)
   let runs =
     List.map

@@ -21,6 +21,7 @@ open Qcomp_ir
 open Qcomp_plan
 module Memory = Qcomp_vm.Memory
 module Sso = Qcomp_runtime.Sso
+module Htable = Qcomp_runtime.Htable
 module Table = Qcomp_storage.Table
 module Schema = Qcomp_storage.Schema
 
@@ -29,11 +30,16 @@ module Int_set = Set.Make (Int)
 (** Side effect of a parallel pipeline body, from the host's point of view:
     which state slot holds the runtime object the body writes into, and how
     to give each execution lane a private copy that the barrier merges back.
-    [ht_merge] names a generated combine function for aggregate tables
-    (host-side payload blits would be wrong for partial aggregates); join
-    tables and tuple buffers merge host-side. *)
+    [ht_agg] describes an aggregate table's payload so the barrier can
+    combine partial aggregates ({!Htable.merge_aggs}; a payload blit would
+    be wrong for them); join tables and tuple buffers are merged by
+    re-insertion and concatenation. *)
 type sink =
-  | Sink_ht of { ht_slot : int; ht_payload : int; ht_merge : string option }
+  | Sink_ht of {
+      ht_slot : int;
+      ht_payload : int;
+      ht_agg : Htable.agg_desc option;
+    }
   | Sink_buf of { buf_slot : int; buf_row : int }
 
 type step = {
@@ -551,6 +557,36 @@ let agg_state tys (a : Algebra.agg) : agg_state =
         a_out_ty = sum_ty;
       }
 
+(** The merge descriptor of an aggregate payload: keys first, then each
+    aggregate's state fields from its [agg_field_start] on; Avg merges as
+    a Sum and a Count. *)
+let agg_desc layout ~nk states agg_field_start : Htable.agg_desc =
+  let fld i = Layout.field layout i in
+  let width i = Sqlty.tuple_size (fld i).Layout.f_ty in
+  let key i =
+    match (fld i).Layout.f_ty with
+    | Sqlty.Str -> Htable.Str_key { off = (fld i).Layout.f_off }
+    | _ -> Htable.Key { off = (fld i).Layout.f_off; width = width i }
+  in
+  let kinds s =
+    match s.a_kind with
+    | Algebra.Count_star -> [ Htable.Count ]
+    | Algebra.Sum _ -> [ Htable.Sum ]
+    | Algebra.Avg _ -> [ Htable.Sum; Htable.Count ]
+    | Algebra.Min _ -> [ Htable.Min ]
+    | Algebra.Max _ -> [ Htable.Max ]
+  in
+  let state start k kind =
+    { Htable.kind; off = (fld (start + k)).Layout.f_off; width = width (start + k) }
+  in
+  {
+    Htable.keys = List.init nk key;
+    states =
+      List.concat
+        (List.map2 (fun s start -> List.mapi (state start) (kinds s)) states
+           agg_field_start);
+  }
+
 let agg_input_expr (a : Algebra.agg) =
   match a with
   | Algebra.Count_star -> None
@@ -714,7 +750,7 @@ and produce_join ctx ~build ~probe ~build_keys ~probe_keys ~tys ~needed
            {
              ht_slot;
              ht_payload = Layout.size payload_layout;
-             ht_merge = None;
+             ht_agg = None;
            });
       let b = p.b in
       let keys =
@@ -826,14 +862,14 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
   let input_needed =
     used_of_exprs (keys @ List.filter_map agg_input_expr aggs)
   in
-  let merge_name = fresh_fn_name ctx "aggmerge" in
+  let desc = agg_desc payload_layout ~nk states agg_field_start in
   produce ctx input ~needed:input_needed ~consume:(fun p env ->
       add_sink ctx
         (Sink_ht
            {
              ht_slot;
              ht_payload = Layout.size payload_layout;
-             ht_merge = Some merge_name;
+             ht_agg = Some desc;
            });
       let b = p.b in
       let kvs = List.map (fun k -> compile_expr ctx p env in_tys k) keys in
@@ -909,8 +945,6 @@ and produce_group_by ctx ~input ~keys ~aggs ~tys ~needed ~consume =
         states;
       Builder.br b done_;
       Builder.switch_to b done_);
-  emit_agg_merge ctx ~name:merge_name ~ht_slot ~payload_layout ~nk ~states
-    ~agg_field_start;
   (* Scan the hash table: a fresh pipeline. *)
   ctx.pipes <- ctx.pipes + 1;
   let name = fresh_fn_name ctx "aggscan" in
@@ -1035,140 +1069,6 @@ and finalize_agg ctx (p : pipe) ~payload ~layout ~fstart (s : agg_state) : value
       | _ ->
           (* integer average truncates; count is never zero here *)
           { vty = sum.vty; v = Builder.sdiv b Ty.I64 sum.v cnt.v })
-
-(** Combine one aggregate's partial state at [src] into the group at [dst]
-    (both payload pointers). Mirrors [update_agg], but the increment comes
-    from another partial state instead of a fresh input row. *)
-and merge_agg ctx (p : pipe) ~dst ~src ~layout ~fstart (s : agg_state) =
-  ignore ctx;
-  let b = p.b in
-  let fld k = Layout.field layout (fstart + k) in
-  let add_into k ~trap =
-    let cur = load_field p ~base:dst (fld k) in
-    let inc = load_field p ~base:src (fld k) in
-    let v =
-      if trap then Builder.saddtrap b (ir_ty cur.vty) cur.v inc.v
-      else Builder.add b Ty.I64 cur.v inc.v
-    in
-    store_field p ~base:dst (fld k) { vty = cur.vty; v }
-  in
-  match s.a_kind with
-  | Algebra.Count_star -> add_into 0 ~trap:false
-  | Algebra.Sum _ -> add_into 0 ~trap:true
-  | Algebra.Avg _ ->
-      add_into 0 ~trap:true;
-      add_into 1 ~trap:false
-  | Algebra.Min _ | Algebra.Max _ ->
-      let cur = load_field p ~base:dst (fld 0) in
-      let cand = load_field p ~base:src (fld 0) in
-      let is_min = match s.a_kind with Algebra.Min _ -> true | _ -> false in
-      let pred = if is_min then Op.Slt else Op.Sgt in
-      let better = Builder.cmp b pred cand.v cur.v in
-      let sel = Builder.select b (ir_ty cur.vty) better cand.v cur.v in
-      store_field p ~base:dst (fld 0) { vty = cur.vty; v = sel }
-
-(** Generated barrier function [(state, src_ht, _)]: fold a lane-local
-    aggregate table into the global one at [ht_slot]. Stored hashes are
-    already normalized, so they are reused verbatim for the global lookup;
-    on a key miss the partial payload is copied as the initial group state. *)
-and emit_agg_merge ctx ~name ~ht_slot ~payload_layout ~nk ~states
-    ~agg_field_start =
-  let nfields =
-    nk + List.fold_left (fun n s -> n + List.length s.a_fields) 0 states
-  in
-  let b =
-    Builder.create ctx.modul ~name ~ret:Ty.Void
-      ~args:[| Ty.Ptr; Ty.Ptr; Ty.I64 |]
-  in
-  let state = Builder.arg b 0 in
-  let src = Builder.arg b 1 in
-  let exit_block = Builder.new_block b in
-  let head = Builder.new_block b in
-  let body = Builder.new_block b in
-  let live = Builder.new_block b in
-  let incr = Builder.new_block b in
-  let gl = Builder.load b Ty.Ptr state ~offset:ht_slot in
-  let cap = Builder.load b Ty.I64 src ~offset:0 in
-  let esz = Builder.load b Ty.I64 src ~offset:16 in
-  let entries = Builder.load b Ty.Ptr src ~offset:24 in
-  let zero = Builder.const b Ty.I64 0L in
-  Builder.br b head;
-  Builder.switch_to b head;
-  let i = Builder.phi_placeholder b Ty.I64 ~max_incoming:2 in
-  Builder.add_phi_incoming b i ~block:Func.entry_block ~value:zero;
-  let in_range = Builder.cmp b Op.Slt i cap in
-  Builder.condbr b in_range ~then_:body ~else_:exit_block;
-  Builder.switch_to b body;
-  let off = Builder.mul b Ty.I64 i esz in
-  let entry = Builder.gep b entries ~index:off ~scale:1 0 in
-  let hword = Builder.load b Ty.I64 entry ~offset:0 in
-  let occupied = Builder.cmp b Op.Ne hword zero in
-  Builder.condbr b occupied ~then_:live ~else_:incr;
-  Builder.switch_to b live;
-  let p = { b; exit_block } in
-  let spay = Builder.gep b entry 8 in
-  let kvs =
-    List.init nk (fun k -> load_field p ~base:spay (Layout.field payload_layout k))
-  in
-  let entry0 =
-    call_rt b "umbra_htLookup" [| Ty.Ptr; Ty.I64 |] Ty.Ptr [ gl; hword ]
-  in
-  let from_block = Builder.current_block b in
-  let chead = Builder.new_block b in
-  let check = Builder.new_block b in
-  let upd = Builder.new_block b in
-  let nxt = Builder.new_block b in
-  let ins = Builder.new_block b in
-  let done_ = Builder.new_block b in
-  Builder.br b chead;
-  Builder.switch_to b chead;
-  let ge = Builder.phi_placeholder b Ty.Ptr ~max_incoming:2 in
-  Builder.add_phi_incoming b ge ~block:from_block ~value:entry0;
-  let is_null = Builder.isnull b ge in
-  Builder.condbr b is_null ~then_:ins ~else_:check;
-  Builder.switch_to b check;
-  let gpay = Builder.gep b ge 8 in
-  List.iteri
-    (fun k kv ->
-      let stored = load_field p ~base:gpay (Layout.field payload_layout k) in
-      let eq = compile_cmp ctx p stored kv Expr.Eq in
-      let next_check = Builder.new_block b in
-      Builder.condbr b eq.v ~then_:next_check ~else_:nxt;
-      Builder.switch_to b next_check)
-    kvs;
-  Builder.br b upd;
-  Builder.switch_to b upd;
-  List.iteri
-    (fun k s ->
-      let fstart = List.nth agg_field_start k in
-      merge_agg ctx p ~dst:gpay ~src:spay ~layout:payload_layout ~fstart s)
-    states;
-  Builder.br b done_;
-  Builder.switch_to b nxt;
-  let ge' =
-    call_rt b "umbra_htNext" [| Ty.Ptr; Ty.Ptr; Ty.I64 |] Ty.Ptr
-      [ gl; ge; hword ]
-  in
-  Builder.add_phi_incoming b ge ~block:nxt ~value:ge';
-  Builder.br b chead;
-  Builder.switch_to b ins;
-  let pnew =
-    call_rt b "umbra_htInsert" [| Ty.Ptr; Ty.I64 |] Ty.Ptr [ gl; hword ]
-  in
-  for k = 0 to nfields - 1 do
-    let v = load_field p ~base:spay (Layout.field payload_layout k) in
-    store_field p ~base:pnew (Layout.field payload_layout k) v
-  done;
-  Builder.br b done_;
-  Builder.switch_to b done_;
-  Builder.br b incr;
-  Builder.switch_to b incr;
-  let one = Builder.const b Ty.I64 1L in
-  let i' = Builder.add b Ty.I64 i one in
-  Builder.add_phi_incoming b i ~block:incr ~value:i';
-  Builder.br b head;
-  Builder.switch_to b exit_block;
-  Builder.ret_void b
 
 and produce_order_by ctx ~input ~keys ~limit ~tys ~needed ~consume =
   let in_tys = Algebra.output_tys ctx.catalog input in

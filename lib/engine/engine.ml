@@ -209,7 +209,7 @@ end
     steps followed by an optional morsel-parallel body. *)
 module Pipeline = struct
   type sink = Qcomp_codegen.Codegen.sink =
-    | Sink_ht of { ht_slot : int; ht_payload : int; ht_merge : string option }
+    | Sink_ht of { ht_slot : int; ht_payload : int; ht_agg : Htable.agg_desc option }
     | Sink_buf of { buf_slot : int; buf_row : int }
 
   type step = Qcomp_codegen.Codegen.step = {

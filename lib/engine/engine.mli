@@ -115,7 +115,7 @@ end
 
 module Pipeline : sig
   type sink = Qcomp_codegen.Codegen.sink =
-    | Sink_ht of { ht_slot : int; ht_payload : int; ht_merge : string option }
+    | Sink_ht of { ht_slot : int; ht_payload : int; ht_agg : Htable.agg_desc option }
     | Sink_buf of { buf_slot : int; buf_row : int }
 
   type step = Qcomp_codegen.Codegen.step = {

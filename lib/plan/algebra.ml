@@ -82,7 +82,12 @@ let rec output_tys (catalog : catalog) (op : t) : Sqlty.t array =
             | Sqlty.Decimal s -> Sqlty.Decimal s
             | Sqlty.Int32 | Sqlty.Int64 -> Sqlty.Int64
             | t -> plan_fail "sum over %s" (Sqlty.to_string t))
-        | Min e | Max e -> Expr.type_of tys e
+        | Min e | Max e -> (
+            (* a string state is an SSO struct pointer: compared, it would
+               order by address *)
+            match Expr.type_of tys e with
+            | Sqlty.Str -> plan_fail "min/max over str"
+            | t -> t)
         | Avg e -> (
             match Expr.type_of tys e with
             | Sqlty.Decimal s -> Sqlty.Decimal s

@@ -94,7 +94,16 @@ type profile = Legacy | Tagged
    Arena zeroing is no longer free outside Legacy: creation, growth and
    migration charge {!zero_cost} per zeroed byte (1 cycle per 32 bytes,
    wide-store throughput), so large build sides stop looking artificially
-   cheap to the re-optimization cost model. *)
+   cheap to the re-optimization cost model.
+
+   Aggregate merge ({!merge_aggs}), on top of the probe and insert costs:
+     32/call + 42/scanned source slot + 44/live source entry;
+     16/key compared (string: 45 + length/8, [umbra_strEq]'s charge
+     included); 8/merged state field (18 if 128-bit);
+     21 + 6/payload field per miss.
+   Fitted to the cycles the generated per-group-by merge functions it
+   replaced spent in DirectEmit code on the same merges (TPC-H and
+   TPC-DS-like group-bys at 2 and 4 lanes: 0.5% below their total). *)
 
 let zero_cost bytes = bytes / 32
 
@@ -655,14 +664,93 @@ let merge_into mem ~dst ~src =
     raise (Rt_error.Query_error "Htable.merge_into: entry size mismatch");
   let plen = esz - 16 in
   let cost = ref 0 in
-  let cap = capacity mem src in
-  for i = 0 to cap - 1 do
-    let addr = entries_ptr mem src + (i * esz) in
-    let h = Memory.load64 mem addr in
-    if not (Int64.equal h 0L) then begin
+  iter mem src (fun p ->
+      let payload, c = insert mem dst (Memory.load64 mem (p - 8)) in
+      Memory.blit mem ~src:p ~dst:payload ~len:plen;
+      cost := !cost + c + 2 + (plen / 32));
+  !cost
+
+(* ---------------- aggregate merge ---------------- *)
+
+type agg_kind = Count | Sum | Min | Max
+
+(** A group key in the payload: compared byte-wise, or as an SSO string
+    struct with {!Sso.equal}. *)
+type agg_key = Key of { off : int; width : int } | Str_key of { off : int }
+
+(** A partial-aggregate field in the payload, 1, 4, 8 or 16 bytes wide. *)
+type agg_state = { kind : agg_kind; off : int; width : int }
+
+(** What the barrier merge needs to know about an aggregate payload. *)
+type agg_desc = { keys : agg_key list; states : agg_state list }
+
+let load_int mem addr width =
+  if width < 16 then I128.of_int64 (Memory.load mem ~addr ~size:width ~sext:true)
+  else I128.make ~hi:(Memory.load64 mem (addr + 8)) ~lo:(Memory.load64 mem addr)
+
+let store_int mem addr width v =
+  if width < 16 then Memory.store mem ~addr ~size:width (I128.to_int64 v)
+  else begin
+    Memory.store64 mem addr (I128.to_int64 v);
+    Memory.store64 mem (addr + 8) (I128.to_int64 (I128.shift_right_logical v 64))
+  end
+
+(* Count wraps (the store truncates), Sum traps on signed overflow at its
+   width like [saddtrap], Min and Max compare signed. *)
+let merge_state mem ~dst ~src { kind; off; width } =
+  let cur = load_int mem (dst + off) width in
+  let inc = load_int mem (src + off) width in
+  let sum = I128.add cur inc in
+  let overflows =
+    if width = 16 then I128.add_overflows cur inc else I128.to_int64_opt sum = None
+  in
+  let v =
+    match kind with
+    | Sum when overflows -> Rt_error.overflow ()
+    | Count | Sum -> sum
+    | Min -> if I128.compare inc cur < 0 then inc else cur
+    | Max -> if I128.compare inc cur > 0 then inc else cur
+  in
+  store_int mem (dst + off) width v
+
+(** Fold the partial aggregates of [src] into [dst], two tables of the
+    payload layout [desc]. Walks [src] in slot order and looks each entry
+    up in [dst] under its stored (already normalized) hash, following
+    {!next} on a key mismatch: a match merges the states, a miss inserts
+    the entry with the source payload copied as its initial state. Raises
+    [Rt_error.Query_error] when a Sum overflows. Returns the charged
+    cycles (see the merge costs in the cycle model above). *)
+let merge_aggs mem desc ~dst ~src =
+  let plen = entry_size mem src - 16 in
+  let nfields = List.length desc.keys + List.length desc.states in
+  let cost = ref (32 + (42 * capacity mem src)) in
+  let key_equal g s = function
+    | Key { off; width } ->
+        cost := !cost + 16;
+        String.equal
+          (Memory.load_bytes mem (g + off) width)
+          (Memory.load_bytes mem (s + off) width)
+    | Str_key { off } ->
+        cost := !cost + 45 + (Sso.length mem (g + off) / 8);
+        Sso.equal mem (g + off) (s + off)
+  in
+  let rec probe h s (g, c) =
+    cost := !cost + c;
+    if g = 0 then begin
       let payload, c = insert mem dst h in
-      Memory.blit mem ~src:(addr + 8) ~dst:payload ~len:plen;
-      cost := !cost + c + 2 + (plen / 32)
+      Memory.blit mem ~src:s ~dst:payload ~len:plen;
+      cost := !cost + c + 21 + (6 * nfields)
     end
-  done;
+    else if List.for_all (key_equal (g + 8) s) desc.keys then
+      List.iter
+        (fun st ->
+          merge_state mem ~dst:(g + 8) ~src:s st;
+          cost := !cost + if st.width = 16 then 18 else 8)
+        desc.states
+    else probe h s (next mem dst g h)
+  in
+  iter mem src (fun s ->
+      let h = Memory.load64 mem (s - 8) in
+      cost := !cost + 44;
+      probe h s (lookup mem dst h));
   !cost

@@ -158,9 +158,9 @@ let observe_rows t ~rows ~wall_dc =
    2. barrier — the main context merges lane sinks back: join tables are
       republished as one exact-size global table from the now-known
       cardinality (no growth during the merge inserts), aggregate tables
-      are combined by a *generated* merge function (partial aggregates
-      need combine semantics, not blits), row buffers are concatenated in
-      lane order. Lane scopes are then freed. *)
+      are combined by {!Htable.merge_aggs} (partial aggregates need
+      combine semantics, not blits), row buffers are concatenated in lane
+      order. Lane scopes are then freed, also when a merge traps. *)
 
 let init_lanes t sched (s : Codegen.step) =
   let mem = Engine.memory t.db in
@@ -176,7 +176,7 @@ let init_lanes t sched (s : Codegen.step) =
               List.iter
                 (fun (sink : Codegen.sink) ->
                   match sink with
-                  | Codegen.Sink_ht { ht_slot; ht_payload; ht_merge = _ } ->
+                  | Codegen.Sink_ht { ht_slot; ht_payload; ht_agg = _ } ->
                       let glob =
                         Int64.to_int (Memory.load64 mem (t.state + ht_slot))
                       in
@@ -205,21 +205,20 @@ let init_lanes t sched (s : Codegen.step) =
 let merge_lanes t (s : Codegen.step) =
   let mem = Engine.memory t.db in
   let emu = t.db.Engine.emu in
+  let obj state slot = Int64.to_int (Memory.load64 mem (state + slot)) in
+  Fun.protect ~finally:(fun () -> free_lanes t) @@ fun () ->
   List.iter
     (fun (sink : Codegen.sink) ->
       match sink with
-      | Codegen.Sink_ht { ht_slot; ht_payload; ht_merge = None } ->
+      | Codegen.Sink_ht { ht_slot; ht_payload; ht_agg = None } ->
           (* join build: exact-size global table from the known
              cardinality, then one insert+blit per materialized entry *)
           let total =
             Array.fold_left
-              (fun acc l ->
-                acc
-                + Htable.count mem
-                    (Int64.to_int (Memory.load64 mem (l.l_state + ht_slot))))
+              (fun acc l -> acc + Htable.count mem (obj l.l_state ht_slot))
               0 t.lanes
           in
-          let glob = Int64.to_int (Memory.load64 mem (t.state + ht_slot)) in
+          let glob = obj t.state ht_slot in
           let dst, c =
             Htable.create mem
               ~profile:(Htable.profile_of mem glob)
@@ -229,36 +228,29 @@ let merge_lanes t (s : Codegen.step) =
           Emu.charge emu c;
           Array.iter
             (fun l ->
-              let src =
-                Int64.to_int (Memory.load64 mem (l.l_state + ht_slot))
-              in
+              let src = obj l.l_state ht_slot in
               Emu.charge emu (Htable.merge_into mem ~dst ~src))
             t.lanes;
           Memory.store64 mem (t.state + ht_slot) (Int64.of_int dst)
-      | Codegen.Sink_ht { ht_slot; ht_merge = Some fn; _ } ->
-          (* aggregate table: generated combine function, lane by lane *)
-          let addr = Int64.to_int (Backend.find_fn t.cm fn) in
+      | Codegen.Sink_ht { ht_slot; ht_agg = Some desc; _ } ->
+          (* aggregate table: combine partial states, lane by lane *)
+          let dst = obj t.state ht_slot in
           Array.iter
             (fun l ->
-              let src = Memory.load64 mem (l.l_state + ht_slot) in
-              ignore
-                (Emu.call emu ~addr
-                   ~args:[| Int64.of_int t.state; src; 0L |]))
+              let src = obj l.l_state ht_slot in
+              Emu.charge emu (Htable.merge_aggs mem desc ~dst ~src))
             t.lanes
       | Codegen.Sink_buf { buf_slot; _ } ->
           (* row buffer: concatenate in lane order (morsels are assigned
              round-robin, so lane order approximates scan order; ordering
              operators sort downstream anyway) *)
-          let dst = Int64.to_int (Memory.load64 mem (t.state + buf_slot)) in
+          let dst = obj t.state buf_slot in
           Array.iter
             (fun l ->
-              let src =
-                Int64.to_int (Memory.load64 mem (l.l_state + buf_slot))
-              in
+              let src = obj l.l_state buf_slot in
               Emu.charge emu (Tuplebuf.concat_into mem ~dst ~src))
             t.lanes)
-    s.Codegen.sinks;
-  free_lanes t
+    s.Codegen.sinks
 
 (** One quantum of a morsel-parallel body: claim [lanes * morsel] rows,
     fan them out over the lanes, and on depletion run the merge barrier.

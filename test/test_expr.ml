@@ -136,6 +136,24 @@ let plan_cases =
         check Alcotest.int "4 cols" 4 (Array.length tys);
         check sqlty "key" Sqlty.Int32 tys.(0);
         check sqlty "count is int64" Sqlty.Int64 tys.(1));
+    Alcotest.test_case "min/max over a string column rejected" `Quick
+      (fun () ->
+        let group agg =
+          Algebra.Group_by
+            {
+              input = Algebra.Scan { table = "t"; filter = None };
+              keys = [ Expr.col 1 ];
+              aggs = [ agg ];
+            }
+        in
+        List.iter
+          (fun agg ->
+            match Algebra.output_tys catalog (group agg) with
+            | exception Algebra.Plan_error _ -> ()
+            | _ -> Alcotest.fail "expected plan error")
+          [ Algebra.Min (Expr.col 3); Algebra.Max (Expr.col 3) ];
+        let tys = Algebra.output_tys catalog (group (Algebra.Min (Expr.col 1))) in
+        check sqlty "min over int32 still typed" Sqlty.Int32 tys.(1));
     Alcotest.test_case "unknown table rejected" `Quick (fun () ->
         match Algebra.output_tys catalog (Algebra.Scan { table = "zzz"; filter = None }) with
         | exception Algebra.Plan_error _ -> ()

@@ -205,6 +205,10 @@ let rec plan_str (p : Algebra.t) =
 
 type outcome = Rows of int64 * int | Error of string
 
+let outcome_str = function
+  | Rows (c, n) -> Printf.sprintf "rows(%Lx,%d)" c n
+  | Error e -> "err:" ^ e
+
 let run_outcome ?target backend plan =
   (* typing rejections must also agree, but those happen before the
      back-end runs; treat them as an Error outcome keyed on the message *)
@@ -237,13 +241,79 @@ let mk_test ?target ?(suffix = "") (bname, backend) =
          let got = run_outcome ?target backend plan in
          if expect <> got then
            QCheck2.Test.fail_reportf "outcomes differ: interp=%s %s=%s"
-             (match expect with Rows (c, n) -> Printf.sprintf "rows(%Lx,%d)" c n | Error e -> "err:" ^ e)
-             bname
-             (match got with Rows (c, n) -> Printf.sprintf "rows(%Lx,%d)" c n | Error e -> "err:" ^ e)
+             (outcome_str expect) bname (outcome_str got)
          else true))
+
+(* ---- the lane property ---- *)
+
+(* Group-bys with every key shape the lane merge compares: int32, string,
+   decimal, a pair, and none (one global group). *)
+let gen_group_plan =
+  let base =
+    oneof
+      [
+        return scan;
+        map (fun p -> Algebra.Filter { input = scan; pred = p }) gen_pred;
+      ]
+  in
+  map3
+    (fun input keys aggs -> Algebra.Group_by { input; keys; aggs })
+    base
+    (oneofl
+       [ [ Expr.col 1 ]; [ Expr.col 3 ]; [ Expr.col 2 ]; [ Expr.col 1; Expr.col 3 ]; [] ])
+    (list_size (int_range 1 3) gen_agg)
+
+(* Lane merges emit groups in merge order, so outcomes compare the sorted
+   multiset. The interpreter runs serially through [Engine.run_plan]; the
+   back-end runs through [Exec] over [lanes] lanes, with small morsels so
+   every lane gets rows from several quanta. *)
+let multiset_outcome f =
+  match f () with
+  | rows -> Rows (Engine.checksum (List.sort compare rows), List.length rows)
+  | exception Qcomp_runtime.Rt_error.Query_error e -> Error e
+  | exception Expr.Type_error e -> Error ("type: " ^ e)
+  | exception Algebra.Plan_error e -> Error ("plan: " ^ e)
+
+let run_lanes_outcome backend ~lanes plan =
+  multiset_outcome (fun () ->
+      let db = make_db () in
+      let sched = Qcomp_server.Morsel_sched.create ~parallel:false db ~lanes in
+      let timing = Qcomp_support.Timing.create ~enabled:false () in
+      Engine.with_compiled db ~backend ~timing ~name:"fuzz" plan (fun cq cm _ ->
+          let ex = Qcomp_server.Exec.start ~sched db cq cm in
+          Fun.protect ~finally:(fun () -> Qcomp_server.Exec.dispose ex)
+          @@ fun () ->
+          Qcomp_server.Exec.run_to_end ex ~morsel:5;
+          Qcomp_server.Exec.rows ex))
+
+let mk_lanes_test (bname, backend) =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~print:plan_str
+       ~name:(Printf.sprintf "random group-bys: %s at 2/4 lanes = interpreter" bname)
+       gen_group_plan
+       (fun plan ->
+         let expect =
+           multiset_outcome (fun () ->
+               let db = make_db () in
+               let timing = Qcomp_support.Timing.create ~enabled:false () in
+               let r, _, _ =
+                 Engine.run_plan db ~backend:Engine.interpreter ~timing
+                   ~name:"fuzz" plan
+               in
+               r.Engine.rows)
+         in
+         List.for_all
+           (fun lanes ->
+             let got = run_lanes_outcome backend ~lanes plan in
+             expect = got
+             || QCheck2.Test.fail_reportf "outcomes differ at %d lanes: interp=%s %s=%s"
+                  lanes (outcome_str expect) bname (outcome_str got))
+           [ 2; 4 ]))
 
 let suite =
   List.map (fun b -> mk_test b) backends
   @ List.map
       (fun b -> mk_test ~target:Qcomp_vm.Target.a64 ~suffix:" (a64)" b)
       (List.filter (fun (n, _) -> n <> "directemit" && n <> "stencil") backends)
+  @ List.map mk_lanes_test
+      (List.filter (fun (n, _) -> n = "stencil" || n = "directemit") backends)

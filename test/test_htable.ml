@@ -25,6 +25,8 @@ let unhash =
 (* a spread 64-bit value whose unhash is pseudorandom (combined hashes
    never unhash to anything dense) *)
 let scrambled i = Hashes.combine (Hashes.hash64 (Int64.of_int i)) 0x5BD1E995L
+let scrambled_key k = scrambled (Int64.to_int k)
+let dense_key k = Hashes.hash64 k
 
 let mode_cases =
   [
@@ -396,5 +398,255 @@ let guard_cases =
             (fun i -> scrambled i) (* tagged *) ]);
   ]
 
+(* ---------------- aggregate merge ---------------- *)
+
+module I128 = Qcomp_support.I128
+
+(* A payload of one int64 key and every state kind at every width:
+   (state, how a row's value [v] feeds it). Avg is its Sum and Count. *)
+let agg_key = Htable.Key { off = 0; width = 8 }
+
+let agg_states =
+  let st kind off width = { Htable.kind; off; width } in
+  let dec v = I128.shift_left (I128.of_int v) 70 in
+  [
+    (st Htable.Count 8 8, fun _ -> I128.one);
+    (st Htable.Sum 16 8, fun v -> I128.of_int v) (* sum int64 *);
+    (st Htable.Sum 24 16, fun v -> dec v) (* sum decimal128 *);
+    (st Htable.Sum 40 16, fun v -> dec v) (* avg: sum ... *);
+    (st Htable.Count 56 8, fun _ -> I128.one) (* ... and count *);
+    (st Htable.Min 64 4, fun v -> I128.of_int v) (* int32 *);
+    (st Htable.Max 68 4, fun v -> I128.of_int v);
+    (st Htable.Min 72 4, fun v -> I128.of_int (10_000 + v)) (* date *);
+    (st Htable.Max 76 4, fun v -> I128.of_int (10_000 + v));
+    (st Htable.Min 80 8, fun v -> I128.of_int (v * 1_000_000_007)) (* int64 *);
+    (st Htable.Max 88 8, fun v -> I128.of_int (v * 1_000_000_007));
+    (st Htable.Min 96 16, fun v -> dec v) (* decimal *);
+    (st Htable.Max 112 16, fun v -> dec v);
+  ]
+
+let agg_desc =
+  { Htable.keys = [ agg_key ]; states = List.map fst agg_states }
+
+let agg_payload = 128
+
+let read_state m p (s : Htable.agg_state) =
+  if s.Htable.width = 16 then
+    I128.make
+      ~hi:(Memory.load64 m (p + s.Htable.off + 8))
+      ~lo:(Memory.load64 m (p + s.Htable.off))
+  else
+    I128.of_int64
+      (Memory.load m ~addr:(p + s.Htable.off) ~size:s.Htable.width ~sext:true)
+
+let write_state m p (s : Htable.agg_state) v =
+  if s.Htable.width = 16 then begin
+    Memory.store64 m (p + s.Htable.off) (I128.to_int64 v);
+    Memory.store64 m
+      (p + s.Htable.off + 8)
+      (I128.to_int64 (I128.shift_right_logical v 64))
+  end
+  else Memory.store m ~addr:(p + s.Htable.off) ~size:s.Htable.width (I128.to_int64 v)
+
+(* the serial update a generated group-by body performs for one row *)
+let combine (s : Htable.agg_state) cur x =
+  match s.Htable.kind with
+  | Htable.Count | Htable.Sum -> I128.add cur x
+  | Htable.Min -> if I128.compare x cur < 0 then x else cur
+  | Htable.Max -> if I128.compare x cur > 0 then x else cur
+
+(* the group entry for [key] in [ht] (0 when absent), walking the chain *)
+let find_group m ht ~hash key =
+  let rec go (e, _) =
+    if e = 0 || Int64.equal (Memory.load64 m (e + 8)) key then e
+    else go (Htable.next m ht e hash)
+  in
+  go (Htable.lookup m ht hash)
+
+let add_row m ht ~hash (key, v) =
+  match find_group m ht ~hash:(hash key) key with
+  | 0 ->
+      let p, _ = Htable.insert m ht (hash key) in
+      Memory.store64 m p key;
+      List.iter (fun (s, f) -> write_state m p s (f v)) agg_states
+  | e ->
+      List.iter
+        (fun (s, f) -> write_state m (e + 8) s (combine s (read_state m (e + 8) s) (f v)))
+        agg_states
+
+(* 300 rows over 40 keys, values of both signs *)
+let agg_rows =
+  List.init 300 (fun i -> (Int64.of_int ((i * 7) mod 40), ((i * 7919) mod 2001) - 1000))
+
+let merge_cases =
+  [
+    Alcotest.test_case
+      "merge_aggs: every state kind, every layout, equals the serial build"
+      `Quick (fun () ->
+        List.iter
+          (fun (label, profile, hash, want_mode) ->
+            let m = fresh_mem () in
+            let create () =
+              fst
+                (Htable.create m ~profile ~payload_size:agg_payload
+                   ~capacity_hint:16 ())
+            in
+            (* three lanes over contiguous morsels of the rows *)
+            let lanes = Array.init 3 (fun _ -> create ()) in
+            List.iteri
+              (fun i r -> add_row m lanes.(i * 3 / 300) ~hash r)
+              agg_rows;
+            let serial = create () in
+            List.iter (add_row m serial ~hash) agg_rows;
+            let dst = create () in
+            Array.iter
+              (fun src -> ignore (Htable.merge_aggs m agg_desc ~dst ~src))
+              lanes;
+            check Alcotest.bool (label ^ ": layout") true
+              (Htable.mode m dst = want_mode);
+            check Alcotest.int (label ^ ": groups") (Htable.count m serial)
+              (Htable.count m dst);
+            for k = 0 to 39 do
+              let key = Int64.of_int k in
+              let e = find_group m dst ~hash:(hash key) key in
+              let e' = find_group m serial ~hash:(hash key) key in
+              if e = 0 then Alcotest.failf "%s: key %d missing" label k;
+              List.iter
+                (fun (s, _) ->
+                  if not (I128.equal (read_state m (e + 8) s) (read_state m (e' + 8) s))
+                  then
+                    Alcotest.failf "%s: key %d state at +%d differs" label k
+                      s.Htable.off)
+                agg_states
+            done)
+          [
+            ("legacy", Htable.Legacy, scrambled_key, `Legacy);
+            ("tagged", Htable.Tagged, scrambled_key, `Tagged);
+            ("direct", Htable.Tagged, dense_key, `Direct);
+          ]);
+    Alcotest.test_case "merge_aggs: a miss copies the whole payload" `Quick
+      (fun () ->
+        let m = fresh_mem () in
+        let create () =
+          fst (Htable.create m ~payload_size:agg_payload ~capacity_hint:16 ())
+        in
+        let src = create () and dst = create () in
+        add_row m src ~hash:dense_key (5L, -123);
+        add_row m src ~hash:dense_key (5L, 77);
+        let cost = Htable.merge_aggs m agg_desc ~dst ~src in
+        check Alcotest.bool "charged" true (cost > 0);
+        check Alcotest.int "one group" 1 (Htable.count m dst);
+        let e = find_group m dst ~hash:(dense_key 5L) 5L in
+        let e' = find_group m src ~hash:(dense_key 5L) 5L in
+        check Alcotest.string "payload bytes"
+          (Memory.load_bytes m (e' + 8) agg_payload)
+          (Memory.load_bytes m (e + 8) agg_payload));
+    Alcotest.test_case
+      "merge_aggs: equal hashes, different keys (SSO keys > 12 bytes)" `Quick
+      (fun () ->
+        (* payload: SSO key struct, then a count *)
+        let desc =
+          {
+            Htable.keys = [ Htable.Str_key { off = 0 } ];
+            states = [ { Htable.kind = Htable.Count; off = 16; width = 8 } ];
+          }
+        in
+        let h = scrambled 7 in
+        let long i = Printf.sprintf "a-long-group-key-%d" i in
+        List.iter
+          (fun (label, profile, extra) ->
+            let m = fresh_mem () in
+            let create () =
+              fst (Htable.create m ~profile ~payload_size:24 ~capacity_hint:16 ())
+            in
+            let lane keys =
+              let ht = create () in
+              (* an entry under another hash, for the layouts that need
+                 spread keys to leave direct addressing *)
+              if extra then begin
+                let p, _ = Htable.insert m ht (scrambled 99) in
+                Sso.write m ~addr:p "other";
+                Memory.store64 m (p + 16) 1L
+              end;
+              List.iter
+                (fun s ->
+                  let p, _ = Htable.insert m ht h in
+                  Sso.write m ~addr:p s;
+                  Memory.store64 m (p + 16) 1L)
+                keys;
+              ht
+            in
+            let a = lane [ long 1; long 2; "short" ]
+            and b = lane [ long 2; long 3; "short" ] in
+            let dst = create () in
+            ignore (Htable.merge_aggs m desc ~dst ~src:a);
+            ignore (Htable.merge_aggs m desc ~dst ~src:b);
+            let rec chain (e, _) acc =
+              if e = 0 then acc
+              else
+                chain (Htable.next m dst e h)
+                  ((Sso.read m (e + 8), Memory.load64 m (e + 24)) :: acc)
+            in
+            check
+              Alcotest.(list (pair string int64))
+              (label ^ ": one group per distinct key")
+              [ (long 1, 1L); (long 2, 2L); (long 3, 1L); ("short", 2L) ]
+              (List.sort compare (chain (Htable.lookup m dst h) [])))
+          [
+            ("legacy", Htable.Legacy, false);
+            ("tagged", Htable.Tagged, true);
+            ("direct", Htable.Tagged, false);
+          ]);
+    Alcotest.test_case "merge_aggs: charge is positive and monotone in entries"
+      `Quick (fun () ->
+        ignore
+          (List.fold_left
+             (fun prev n ->
+               let m = fresh_mem () in
+               let create () =
+                 fst
+                   (Htable.create m ~payload_size:agg_payload ~capacity_hint:16 ())
+               in
+               let src = create () and dst = create () in
+               for k = 0 to n - 1 do
+                 add_row m src ~hash:scrambled_key (Int64.of_int k, k)
+               done;
+               let cost = Htable.merge_aggs m agg_desc ~dst ~src in
+               check Alcotest.bool
+                 (Printf.sprintf "%d entries: %d > %d cycles" n cost prev)
+                 true (cost > prev);
+               cost)
+             0 [ 1; 10; 100; 1000 ]));
+    Alcotest.test_case "merge_aggs: a Sum overflowing only when merged traps"
+      `Quick (fun () ->
+        List.iter
+          (fun (s, big) ->
+            let desc = { Htable.keys = [ agg_key ]; states = [ s ] } in
+            let m = fresh_mem () in
+            let create () =
+              fst (Htable.create m ~payload_size:40 ~capacity_hint:16 ())
+            in
+            let lane () =
+              let ht = create () in
+              let p, _ = Htable.insert m ht (dense_key 1L) in
+              Memory.store64 m p 1L;
+              write_state m p s big;
+              ht
+            in
+            let a = lane () and b = lane () and dst = create () in
+            ignore (Htable.merge_aggs m desc ~dst ~src:a);
+            match Htable.merge_aggs m desc ~dst ~src:b with
+            | exception Rt_error.Query_error msg ->
+                check Alcotest.string "overflow" "numeric overflow" msg
+            | _ -> Alcotest.fail "merged sum overflow not trapped")
+          [
+            ( { Htable.kind = Htable.Sum; off = 8; width = 8 },
+              I128.of_int64 (Int64.succ (Int64.div Int64.max_int 2L)) );
+            ( { Htable.kind = Htable.Sum; off = 16; width = 16 },
+              I128.shift_left I128.one 126 );
+          ]);
+  ]
+
 let suite =
   mode_cases @ chain_cases @ probe_cases @ accounting_cases @ guard_cases
+  @ merge_cases

@@ -195,6 +195,75 @@ let backend_matrix_case =
             (Engine.all_backends db))
         subset)
 
+(* A Sum whose lane partials fit but whose merged total does not: the
+   barrier must trap exactly like the serial run, and free the lanes on
+   the way out (the execution's live bytes match the failed serial run's
+   before dispose, and the baseline after). *)
+let merged_overflow_case =
+  Alcotest.test_case "a Sum overflowing only at the lane merge traps" `Quick
+    (fun () ->
+      let db = Engine.create_db ~mem_size:(1 lsl 24) Qcomp_vm.Target.x64 in
+      ignore
+        (Engine.add_table db
+           (Qcomp_storage.Schema.make "t" [ ("i", Qcomp_storage.Schema.Int64) ])
+           ~rows:4 ~seed:1L
+           [| Qcomp_storage.Datagen.Serial 0 |]);
+      let mem = Engine.memory db in
+      let sched = Morsel_sched.create ~parallel:false db ~lanes:2 in
+      let sum e =
+        Qcomp_plan.Algebra.Group_by
+          {
+            input = Qcomp_plan.Algebra.Scan { table = "t"; filter = None };
+            keys = [];
+            aggs = [ Qcomp_plan.Algebra.Sum e ];
+          }
+      in
+      let open Qcomp_plan.Expr in
+      (* two rows sum to 1.5 * 2^62 (int64) or 1.5 * 2^126 (decimal128),
+         four rows overflow *)
+      let plans =
+        [
+          ("sum int64", sum (int64 0x3000000000000000L));
+          ( "sum decimal",
+            sum
+              (Const_int (Qcomp_plan.Sqlty.Decimal 0, 0x6000000000000000L)
+              *% Const_int (Qcomp_plan.Sqlty.Decimal 0, Int64.max_int)) );
+        ]
+      in
+      List.iter
+        (fun (label, plan) ->
+          List.iter
+            (fun backend ->
+              let name =
+                Printf.sprintf "%s/%s" label (Qcomp_backend.Backend.name backend)
+              in
+              Engine.with_compiled db ~backend ~timing ~name plan
+                (fun cq cm _ ->
+                  let live0 = Memory.live_data_bytes mem in
+                  let fail ?sched () =
+                    let ex = Exec.start ?sched db cq cm in
+                    match Exec.run_to_end ex ~morsel:2 with
+                    | () ->
+                        Exec.dispose ex;
+                        Alcotest.failf "%s: no overflow" name
+                    | exception Qcomp_runtime.Rt_error.Query_error msg ->
+                        let live = Memory.live_data_bytes mem in
+                        Exec.dispose ex;
+                        check Alcotest.int (name ^ ": all freed") live0
+                          (Memory.live_data_bytes mem);
+                        (msg, live)
+                  in
+                  let serial_msg, serial_live = fail () in
+                  let lanes_msg, lanes_live = fail ~sched () in
+                  check Alcotest.string (name ^ ": serial traps")
+                    "numeric overflow" serial_msg;
+                  check Alcotest.string (name ^ ": merge traps alike")
+                    serial_msg lanes_msg;
+                  check Alcotest.int (name ^ ": no lane scope left")
+                    serial_live lanes_live))
+            [ Engine.interpreter; Engine.stencil; Engine.directemit ])
+        plans)
+
 (* ---------------- both serving drivers ---------------- *)
 
 let server_intra_case =
@@ -315,6 +384,6 @@ let suite =
   api_cases
   @ [
       lanes_differential_case; speedup_case; backend_matrix_case;
-      server_intra_case; pool_intra_case; exact_capacity_case;
+      merged_overflow_case; server_intra_case; pool_intra_case; exact_capacity_case;
       concurrent_build_merge_case;
     ]
