@@ -34,4 +34,5 @@ let () =
       ("param", Test_param.suite);
       ("load", Test_load.suite);
       ("morsel", Test_morsel.suite);
+      ("serve-golden", Test_serve_golden.suite);
     ]
