@@ -419,18 +419,20 @@ let release t e cm =
           trim sh e
       | None -> ())
 
-let find t k =
+(** LRU lookup. [~stats:false] touches neither recency nor the hit/miss
+    counters — for policies whose semantics say "no cache" (Static charges
+    the full modelled compile every time, so a hit would be a lie in the
+    printed hit-rate) and for the tier controller probing whether a
+    stronger module is already resident without skewing the serving
+    stats. [~pin:true] pins a found entry in the same critical section. *)
+let find t ?(stats = true) ?(pin = false) k =
   let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () -> Lru.find sh.sh_modules k)
-
-(** Lookup that touches neither recency nor the hit/miss counters — for
-    policies whose semantics say "no cache" (Static charges the full
-    modelled compile every time, so a hit would be a lie in the printed
-    hit-rate) and for the tier controller probing whether a stronger
-    module is already resident without skewing the serving stats. *)
-let find_nostat t k =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () -> Lru.peek sh.sh_modules k)
+  Mutex.protect sh.sh_mu (fun () ->
+      let e =
+        if stats then Lru.find sh.sh_modules k else Lru.peek sh.sh_modules k
+      in
+      (match e with Some e when pin -> incr e.ce_pins | _ -> ());
+      e)
 
 (* String literals the code generator baked into this plan's code, with
    the linear-memory addresses codegen allocated for them. Long strings

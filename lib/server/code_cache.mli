@@ -130,13 +130,12 @@ val shard_count : t -> int
 (** Cache key of [plan] compiled by [backend] for [db]'s target. *)
 val key : Qcomp_engine.Engine.db -> backend:Qcomp_backend.Backend.t -> Qcomp_plan.Algebra.t -> key
 
-(** LRU lookup (promotes, counts hit/miss). *)
-val find : t -> key -> entry option
-
-(** LRU lookup that touches neither recency nor the hit/miss counters —
-    for Static mode (whose semantics are "no cache") and for tier-upgrade
-    probes that must not pollute the serving hit-rate. *)
-val find_nostat : t -> key -> entry option
+(** LRU lookup (promotes, counts hit/miss). [~stats:false] touches
+    neither recency nor the hit/miss counters — for Static mode (whose
+    semantics are "no cache") and for tier-upgrade probes that must not
+    pollute the serving hit-rate. [~pin:true] pins a found entry in the
+    same critical section as the lookup. *)
+val find : t -> ?stats:bool -> ?pin:bool -> key -> entry option
 
 (** The live (codegen result, module) pair for an entry bound to [params],
     plus whether this call created the instance (a {e fresh} bind the

@@ -33,6 +33,7 @@ let create ?(parallel = false) (db : Engine.db) ~lanes =
   let emus = Array.init lanes (fun _ -> Emu.context db.Engine.emu) in
   { db; lanes; emus; parallel }
 
+let release t = Array.iter Emu.release_context t.emus
 let lanes t = t.lanes
 let parallel t = t.parallel
 let lane_emu t i = t.emus.(i)

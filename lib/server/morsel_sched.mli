@@ -14,6 +14,10 @@ type t
     and reuse it across queries. Raises [Invalid_argument] on [lanes < 1]. *)
 val create : ?parallel:bool -> Qcomp_engine.Engine.db -> lanes:int -> t
 
+(** Return the lanes' stacks to the allocator; the scheduler must not run
+    again. *)
+val release : t -> unit
+
 val lanes : t -> int
 val parallel : t -> bool
 

@@ -4,67 +4,19 @@
     request trace), pass the bounded multi-tenant admission queue —
     arrivals beyond the cap are shed, deterministically, since occupancy
     is a pure function of the virtual-time event history — wait for an
-    execution worker, and run morsel-by-morsel. Policies: [Static] (fixed
-    back-end, full compile charge per query), [Cached] (adaptive back-end
-    fronted by the fingerprint-keyed code cache), [Tiered] (start on
-    interpreter bytecode, hot-swap to the adaptively-chosen back-end
-    compiled on a background pool). All durations are deterministic, so
-    same-seed runs produce byte-identical reports, shed sets included. *)
+    execution worker, and run morsel-by-morsel through the one query
+    lifecycle ({!Lifecycle}) both drivers share. All durations are
+    deterministic, so same-seed runs produce byte-identical reports, shed
+    sets included. *)
 
-type mode = Pool.mode =
-  | Static of Qcomp_backend.Backend.t
-  | Cached
-  | Tiered
-
-val mode_name : mode -> string
-
-type config = Pool.config = {
-  workers : int;  (** execution workers *)
-  compile_slots : int;  (** background compile pool size (Tiered) *)
-  morsel : int;  (** rows per execution quantum *)
-  cache_capacity : int;  (** module-cache entries *)
-  mode : mode;
-  reopt : bool;
-      (** Tiered only: pick upgrades from observed cycles-per-row at
-          morsel boundaries (including second upgrades) instead of the
-          one-shot pre-execution estimate *)
-  paramize : bool;
-      (** normalize incoming plans into (shape, literal vector) so the code
-          cache is keyed per shape rather than per query; [Static] mode
-          always serves exact plans regardless *)
-  mean_gap_s : float;  (** mean inter-arrival gap; 0 = all arrive at t=0 *)
-  seed : int64;  (** drives the arrival process *)
-  admission_cap : int option;
-      (** bound on admission-queue occupancy; arrivals beyond it are shed
-          (rejected, counted, reported). [None] = unbounded *)
-  tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-  cache_shards : int;
-      (** hash shards of the code cache (when the driver creates it);
-          1 = the deterministic single-lock layout *)
-  intra : int;
-      (** intra-query lanes: parallelizable pipeline bodies fan each
-          quantum's morsels out over this many execution lanes. The
-          discrete-event driver models them deterministically (virtual
-          time advances by the max over lanes); 1 = serial bodies *)
-}
-
-(** Tiered, 4 workers, 2 compile slots, 512-row morsels, unbounded
-    admission, 1 tenant, 1 cache shard, serial bodies (intra 1). *)
-val default_config : config
+(** The serving configuration: {!Lifecycle.Config}. *)
+include module type of struct
+  include Lifecycle.Config
+end
 
 (** Alias of the one canonical metric record, {!Report.query_metrics};
     read the fields through {!Report}. *)
 type query_metrics = Report.query_metrics
-
-val qm_latency : query_metrics -> float
-
-(** One timed request of an open-loop workload (see {!Pool.request}). *)
-type request = Pool.request = {
-  rq_name : string;
-  rq_plan : Qcomp_plan.Algebra.t;
-  rq_arrival : float;  (** seconds after run start *)
-  rq_tenant : int;
-}
 
 (** Alias of the one canonical summary record, {!Report.t}. *)
 type report = Report.t
@@ -77,7 +29,11 @@ type report = Report.t
     clock, byte-identical reports per seed). [~parallel:domains] serves on
     that many real worker domains instead ({!Pool.run}): per-query rows
     and checksums are identical to the sequential run, but every timing
-    metric is wall-clock and scheduling-dependent. *)
+    metric is wall-clock and scheduling-dependent.
+
+    On either driver a query that raises (a runtime trap, a failed
+    compile) releases its pins, claims and execution; the others keep
+    serving, and the first error is re-raised when the run ends. *)
 val run :
   ?cache:Code_cache.t ->
   ?parallel:int ->

@@ -132,6 +132,13 @@ let context t =
     last_gen = 0;
   }
 
+(** Return a {!context}'s stack to the allocator once the context will
+    never run again (a worker domain retiring at the end of a run). *)
+let release_context t =
+  Memory.free t.mem
+    ~addr:(t.stack_top + 64 - context_stack_bytes)
+    ~size:context_stack_bytes ~align:16
+
 (** [with_layout_lock t f] runs [f] holding the machine's code-layout lock.
     A JIT linker must predict the address a blob will get
     ({!next_code_addr}) before applying relocations and registering it,
