@@ -1067,7 +1067,6 @@ let serve_load () =
         Server.mode = Server.Tiered;
         Server.admission_cap;
         Server.tenants;
-        Server.cache_shards = 2;
       }
     in
     Server.run_requests ?parallel db cfg reqs

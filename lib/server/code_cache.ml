@@ -42,25 +42,15 @@
     disposal is deferred until the last pin drops, so a query never
     executes freed code.
 
-    The module level is {e hash-sharded}: entries are distributed over
-    [shards] independent LRUs (keyed by fingerprint and back-end), each
-    behind its own mutex, so worker domains missing on different plans
-    never contend on one global cache lock — the contention the serving
-    pool measured under load. [shards = 1] (the default, and the only
-    configuration the deterministic discrete-event driver uses) behaves
-    exactly like the previous single-mutex cache, including snapshot byte
-    layout. Stats are aggregated across shards on read.
+    The whole module level sits behind one mutex. It keeps no table of
+    compiles in flight: a compile runs with no cache lock held, and
+    deduplicating concurrent misses on one key is the serving lifecycle's
+    job ({!Lifecycle.pending}), which publishes each finished compile with
+    {!insert}.
 
-    Each shard also carries an {e in-flight compile table}: the first
-    domain to miss on a key marks it in flight and compiles outside the
-    lock; domains racing on the same key wait on the shard's condition
-    variable and pick the finished entry up from the LRU instead of
-    burning a redundant back-end compile ({!get_or_compile}). Deduped
-    waits and actual back-end compiles are counted in {!mem_stats}.
-
-    Lock ordering: shard mutex before the plan-memo mutex before the
+    Lock ordering: the cache mutex before the plan-memo mutex before the
     emulator's code-layout lock (disposal from eviction, and lazy linking
-    in {!force}, happen with the shard mutex held), never the reverse.
+    in {!force}, happen with the cache mutex held), never the reverse.
     Compilation itself ({!compile_uncached}) runs with {e no} cache lock
     held so independent plans compile concurrently; only the
     predict-link-register sequence inside serializes on the layout lock. *)
@@ -93,7 +83,6 @@ type bound = {
 
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
-  ce_key : key;  (** the entry's home key — locates its shard *)
   ce_plan : Qcomp_plan.Algebra.t;
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
@@ -140,68 +129,46 @@ type param_stats = {
   ps_bind_host_s : float;  (** host seconds spent in bind-links *)
 }
 
-(* One hash shard: an independent LRU plus the in-flight compile table,
-   all guarded by [sh_mu]. Counters live per shard (mutated under the
-   shard mutex) and are summed on read. *)
-type shard = {
-  sh_mu : Mutex.t;
-  sh_cv : Condition.t;  (** signalled when an in-flight compile lands *)
-  sh_modules : (key, entry) Lru.t;
-  sh_inflight : (key, unit) Hashtbl.t;
-  mutable sh_bytes_freed : int;  (** code bytes returned to the allocator *)
-  mutable sh_max_entry_bytes : int;  (** largest module ever compiled here *)
-  mutable sh_pin_underflows : int;  (** unbalanced unpins caught, ignored *)
-  mutable sh_shape_hits : int;
-  mutable sh_exact_hits : int;
-  mutable sh_binds : int;
-  mutable sh_bind_host_s : float;
-  mutable sh_compiles : int;  (** back-end compiles actually run *)
-  mutable sh_dedup_waits : int;  (** misses served by waiting on another
-                                     domain's in-flight compile *)
-}
-
+(* The module LRU and every counter are guarded by [mu]. *)
 type t = {
+  mu : Mutex.t;
+  modules : (key, entry) Lru.t;
+  mutable bytes_freed : int;  (** code bytes returned to the allocator *)
+  mutable max_entry_bytes : int;  (** largest module ever compiled here *)
+  mutable pin_underflows : int;  (** unbalanced unpins caught, ignored *)
+  mutable shape_hits : int;
+  mutable exact_hits : int;
+  mutable binds : int;
+  mutable bind_host_s : float;
+  mutable compiles : int;  (** back-end compiles actually run *)
   plans_mu : Mutex.t;  (** guards [plans] only *)
   plans : (int64 * string, Qcomp_codegen.Codegen.compiled) Hashtbl.t;
-  shards : shard array;
 }
-
-(* Deterministic shard pick: fingerprint xor a structural hash of the
-   back-end name, so one plan's tiers spread across shards too. *)
-let shard_of t (k : key) =
-  let n = Array.length t.shards in
-  if n = 1 then t.shards.(0)
-  else
-    let h = Int64.to_int k.ck_fp lxor Hashtbl.hash k.ck_backend in
-    t.shards.((h land max_int) mod n)
-
-let shard_of_entry t e = shard_of t e.ce_key
 
 (* Most bound instances a single entry retains. Heavy literal skew (the
    Zipf workloads) concentrates on few vectors, so a short list holds the
    hot ones; the cold tail re-binds in microseconds. *)
 let max_bound_instances = 8
 
-(* Callers hold the shard mutex. A never-linked entry owns no code
+(* Callers hold the cache mutex. A never-linked entry owns no code
    regions: freeing it must neither call dispose (there is nothing to
    release) nor count its bytes as freed — that drift is exactly what the
    overflow path of [load] used to get wrong. Each bound instance owns its
    own copy of the code, so each counts separately. *)
-let dispose_bound sh b =
-  sh.sh_bytes_freed <-
-    sh.sh_bytes_freed + b.b_cm.Qcomp_backend.Backend.cm_code_size;
+let dispose_bound t b =
+  t.bytes_freed <- t.bytes_freed + b.b_cm.Qcomp_backend.Backend.cm_code_size;
   b.b_dispose ()
 
-let free sh e =
-  List.iter (dispose_bound sh) e.ce_bound;
+let free t e =
+  List.iter (dispose_bound t) e.ce_bound;
   e.ce_bound <- []
 
 (* Drop instances beyond the retention cap, least recently used first,
    keeping any instance an in-flight query still references
    ([b_refs > 0]) regardless of its position — it is disposed by the
    trim after its {!release} drops the last reference. Every disposal is
-   counted in [sh_bytes_freed]. Callers hold the shard mutex. *)
-let trim sh e =
+   counted in [bytes_freed]. Callers hold the cache mutex. *)
+let trim t e =
   if List.length e.ce_bound > max_bound_instances then begin
     let rec cut n = function
       | [] -> []
@@ -209,7 +176,7 @@ let trim sh e =
           if n > 0 then b :: cut (n - 1) rest
           else if b.b_refs > 0 then b :: cut 0 rest
           else begin
-            dispose_bound sh b;
+            dispose_bound t b;
             cut 0 rest
           end
     in
@@ -217,63 +184,43 @@ let trim sh e =
   end
 
 (* LRU drop: dispose now, or defer until the last in-flight user unpins.
-   Runs under the shard mutex (drops only happen inside a locked
+   Runs under the cache mutex (drops only happen inside a locked
    [Lru.add]). *)
-let drop sh e = if !(e.ce_pins) > 0 then e.ce_evicted := true else free sh e
+let drop t e = if !(e.ce_pins) > 0 then e.ce_evicted := true else free t e
 
-let make_shard ~capacity =
-  let sh =
+let create ~capacity =
+  let t =
     {
-      sh_mu = Mutex.create ();
-      sh_cv = Condition.create ();
-      sh_modules = Lru.create ~capacity;
-      sh_inflight = Hashtbl.create 8;
-      sh_bytes_freed = 0;
-      sh_max_entry_bytes = 0;
-      sh_pin_underflows = 0;
-      sh_shape_hits = 0;
-      sh_exact_hits = 0;
-      sh_binds = 0;
-      sh_bind_host_s = 0.0;
-      sh_compiles = 0;
-      sh_dedup_waits = 0;
+      mu = Mutex.create ();
+      modules = Lru.create ~capacity;
+      bytes_freed = 0;
+      max_entry_bytes = 0;
+      pin_underflows = 0;
+      shape_hits = 0;
+      exact_hits = 0;
+      binds = 0;
+      bind_host_s = 0.0;
+      compiles = 0;
+      plans_mu = Mutex.create ();
+      plans = Hashtbl.create 64;
     }
   in
-  Lru.set_on_drop sh.sh_modules (fun e -> drop sh e);
-  sh
-
-let create_sharded ~capacity ~shards =
-  if shards < 1 then
-    invalid_arg "Code_cache.create_sharded: shards must be positive";
-  if capacity < 1 then
-    invalid_arg "Code_cache.create_sharded: capacity must be positive";
-  (* ceil-divide so the aggregate capacity never shrinks below the ask *)
-  let per = max 1 ((capacity + shards - 1) / shards) in
-  {
-    plans_mu = Mutex.create ();
-    plans = Hashtbl.create 64;
-    shards = Array.init shards (fun _ -> make_shard ~capacity:per);
-  }
-
-let create ~capacity = create_sharded ~capacity ~shards:1
-let shard_count t = Array.length t.shards
+  Lru.set_on_drop t.modules (drop t);
+  t
 
 (** Pin [e] against disposal while a query holds it. Every pin must be
     matched by an {!unpin} when the query finishes. *)
-let pin t e =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () -> incr e.ce_pins)
+let pin t e = Mutex.protect t.mu (fun () -> incr e.ce_pins)
 
 (** Drop one pin. An unpin without a matching pin is a caller bug that used
     to drive the count negative (and could later double-dispose a module a
     query was still running); it is now clamped at zero, counted in
     [ms_pin_underflows] and logged on first occurrence. *)
 let unpin t e =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       if !(e.ce_pins) <= 0 then begin
-        sh.sh_pin_underflows <- sh.sh_pin_underflows + 1;
-        if sh.sh_pin_underflows = 1 then
+        t.pin_underflows <- t.pin_underflows + 1;
+        if t.pin_underflows = 1 then
           Printf.eprintf
             "code_cache: unpin without matching pin (clamped at zero)\n%!"
       end
@@ -282,9 +229,9 @@ let unpin t e =
         if !(e.ce_pins) = 0 then
           if !(e.ce_evicted) then begin
             e.ce_evicted := false;
-            free sh e
+            free t e
           end
-          else trim sh e
+          else trim t e
       end)
 
 let key db ~backend plan =
@@ -298,7 +245,7 @@ let key db ~backend plan =
     codegen results are small compared to machine code. Atomic: concurrent
     callers for the same fingerprint get the {e same} codegen result, which
     the tier hot-swap relies on (one state layout per plan). Guarded by its
-    own mutex (nested inside a shard mutex when called from {!force}). *)
+    own mutex (nested inside the cache mutex when called from {!force}). *)
 let plan_ir t db ~fp ~name plan =
   Mutex.protect t.plans_mu (fun () ->
       let pk = (fp, db.Engine.target.Qcomp_vm.Target.name) in
@@ -345,8 +292,7 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
         [||]
     | _ -> params
   in
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       let cq =
         match e.ce_cq with
         | Some cq -> cq
@@ -363,7 +309,7 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
           if claim then b.b_refs <- b.b_refs + 1;
           if parameterized then
             if e.ce_fresh then e.ce_fresh <- false
-            else sh.sh_exact_hits <- sh.sh_exact_hits + 1;
+            else t.exact_hits <- t.exact_hits + 1;
           (cq, b.b_cm, false)
       | None ->
           let timing = Timing.create ~enabled:false () in
@@ -396,13 +342,13 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
             :: e.ce_bound;
           e.ce_fresh <- false;
           if parameterized then begin
-            sh.sh_shape_hits <- sh.sh_shape_hits + 1;
-            sh.sh_binds <- sh.sh_binds + 1;
-            sh.sh_bind_host_s <- sh.sh_bind_host_s +. (Timing.now () -. t0)
+            t.shape_hits <- t.shape_hits + 1;
+            t.binds <- t.binds + 1;
+            t.bind_host_s <- t.bind_host_s +. (Timing.now () -. t0)
           end;
           (* overflow disposes only unreferenced instances; anything a
              query claimed survives until its release *)
-          trim sh e;
+          trim t e;
           (cq, cm, true))
 
 (** Drop the reference [force ~claim:true] took on the instance whose
@@ -411,12 +357,11 @@ let force t db ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
     it is finally disposed (and counted in [ms_bytes_freed]). A module
     already disposed with its evicted entry is ignored. *)
 let release t e cm =
-  let sh = shard_of_entry t e in
-  Mutex.protect sh.sh_mu (fun () ->
+  Mutex.protect t.mu (fun () ->
       match List.find_opt (fun b -> b.b_cm == cm) e.ce_bound with
       | Some b ->
           if b.b_refs > 0 then b.b_refs <- b.b_refs - 1;
-          trim sh e
+          trim t e
       | None -> ())
 
 (** LRU lookup. [~stats:false] touches neither recency nor the hit/miss
@@ -426,10 +371,8 @@ let release t e cm =
     stronger module is already resident without skewing the serving
     stats. [~pin:true] pins a found entry in the same critical section. *)
 let find t ?(stats = true) ?(pin = false) k =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () ->
-      let e =
-        if stats then Lru.find sh.sh_modules k else Lru.peek sh.sh_modules k
+  Mutex.protect t.mu (fun () ->
+      let e = if stats then Lru.find t.modules k else Lru.peek t.modules k
       in
       (match e with Some e when pin -> incr e.ce_pins | _ -> ());
       e)
@@ -449,14 +392,13 @@ let capture_consts db (cq : Qcomp_codegen.Codegen.compiled) =
       (s, addr, body))
     cq.Qcomp_codegen.Codegen.const_strs
 
-(** Compile without touching the LRU: a background compilation must not
-    become visible to other queries before the scheduler says its
-    (simulated) compile time has elapsed — the caller {!insert}s the entry
-    at the completion event. No cache lock is held during back-end
-    compilation, so independent plans compile concurrently on different
-    domains; only the short predict-link-register window inside each
-    back-end (and every code-registration/disposal) serializes on the
-    layout lock.
+(** Compile without touching the LRU: a compile must not become visible
+    to other queries before the driver's clock says it has finished — the
+    caller {!insert}s the entry when it lands. No cache lock is held
+    during back-end compilation, so independent plans compile
+    concurrently on different domains; only the short
+    predict-link-register window inside each back-end (and every
+    code-registration/disposal) serializes on the layout lock.
 
     When the back-end supports relocatable output the artifact is compiled
     once and linked through the shared {!Backend.link_artifact} step; the
@@ -489,14 +431,12 @@ let compile_uncached t db ~backend
             ~unwind:db.Engine.unwind modul )
   in
   let bytes = cm.Qcomp_backend.Backend.cm_code_size in
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () ->
-      if bytes > sh.sh_max_entry_bytes then sh.sh_max_entry_bytes <- bytes;
-      sh.sh_compiles <- sh.sh_compiles + 1;
-      if Array.length params > 0 then sh.sh_binds <- sh.sh_binds + 1);
+  Mutex.protect t.mu (fun () ->
+      if bytes > t.max_entry_bytes then t.max_entry_bytes <- bytes;
+      t.compiles <- t.compiles + 1;
+      if Array.length params > 0 then t.binds <- t.binds + 1);
   {
     ce_name = name;
-    ce_key = k;
     ce_plan = plan;
     ce_fp = k.ck_fp;
     ce_art = art;
@@ -521,114 +461,38 @@ let compile_uncached t db ~backend
   }
 
 let insert t k e =
-  let sh = shard_of t k in
-  Mutex.protect sh.sh_mu (fun () ->
-      Lru.add sh.sh_modules k ~weight:e.ce_code_bytes e)
+  Mutex.protect t.mu (fun () -> Lru.add t.modules k ~weight:e.ce_code_bytes e)
 
 (** [get_or_compile t db ~backend ~name plan] is [(entry, hit)]: the cached
-    module for the plan under [backend], compiling (and inserting) on miss.
-    The returned [ce_compile_s] is the modelled cost — on a hit the caller
-    decides whether to charge it (a serving system does not).
-
-    Concurrent misses on one key are deduplicated through the shard's
-    in-flight table: the first domain marks the key in flight and compiles
-    outside the lock; racers wait on the shard's condition variable and
-    pick the finished entry up from the LRU (counted in
-    [ms_dedup_waits]) — the redundant back-end compile the old
-    compile-then-lose-the-insert race paid is gone, and with it the
-    disposal drift on the loser's instances.
-
-    [~stats:false] keeps the lookup out of the hit/miss counters (Static
-    mode's semantics are "no cache"). [~pin:true] pins the entry in the
-    same critical section as the lookup/insert, so an eviction in the
-    return window can never free it before the caller runs it. *)
-let get_or_compile t db ~backend ?params ?(stats = true) ?(pin = false) ~name
-    plan =
+    module for the plan under [backend], compiled and inserted on a miss.
+    A plain lookup, compile, insert: concurrent misses on one key each
+    compile, so serving code deduplicates them through
+    {!Lifecycle.pending} instead. *)
+let get_or_compile t db ~backend ?params ~name plan =
   let k = key db ~backend plan in
-  let sh = shard_of t k in
-  let lookup () =
-    if stats then Lru.find sh.sh_modules k else Lru.peek sh.sh_modules k
-  in
-  Mutex.lock sh.sh_mu;
-  let waited = ref false in
-  let rec loop () =
-    match lookup () with
-    | Some e ->
-        if pin then incr e.ce_pins;
-        Mutex.unlock sh.sh_mu;
-        (e, true)
-    | None ->
-        if Hashtbl.mem sh.sh_inflight k then begin
-          if not !waited then begin
-            sh.sh_dedup_waits <- sh.sh_dedup_waits + 1;
-            waited := true
-          end;
-          Condition.wait sh.sh_cv sh.sh_mu;
-          loop ()
-        end
-        else begin
-          Hashtbl.replace sh.sh_inflight k ();
-          Mutex.unlock sh.sh_mu;
-          let e =
-            try compile_uncached t db ~backend ?params ~name plan
-            with exn ->
-              Mutex.lock sh.sh_mu;
-              Hashtbl.remove sh.sh_inflight k;
-              Condition.broadcast sh.sh_cv;
-              Mutex.unlock sh.sh_mu;
-              raise exn
-          in
-          Mutex.lock sh.sh_mu;
-          if pin then incr e.ce_pins;
-          Lru.add sh.sh_modules k ~weight:e.ce_code_bytes e;
-          Hashtbl.remove sh.sh_inflight k;
-          Condition.broadcast sh.sh_cv;
-          Mutex.unlock sh.sh_mu;
-          (e, false)
-        end
-  in
-  loop ()
+  match find t k with
+  | Some e -> (e, true)
+  | None ->
+      let e = compile_uncached t db ~backend ?params ~name plan in
+      insert t k e;
+      (e, false)
 
-let fold_shards t init f =
-  Array.fold_left (fun acc sh -> Mutex.protect sh.sh_mu (fun () -> f acc sh)) init t.shards
-
-let stats t =
-  fold_shards t
-    {
-      Lru.hits = 0;
-      misses = 0;
-      evictions = 0;
-      entries = 0;
-      bytes = 0;
-      bytes_evicted = 0;
-    }
-    (fun acc sh ->
-      let s = Lru.stats sh.sh_modules in
-      {
-        Lru.hits = acc.Lru.hits + s.Lru.hits;
-        misses = acc.Lru.misses + s.Lru.misses;
-        evictions = acc.Lru.evictions + s.Lru.evictions;
-        entries = acc.Lru.entries + s.Lru.entries;
-        bytes = acc.Lru.bytes + s.Lru.bytes;
-        bytes_evicted = acc.Lru.bytes_evicted + s.Lru.bytes_evicted;
-      })
+let stats t = Mutex.protect t.mu (fun () -> Lru.stats t.modules)
 
 let param_stats t =
-  fold_shards t
-    { ps_shape_hits = 0; ps_exact_hits = 0; ps_binds = 0; ps_bind_host_s = 0.0 }
-    (fun acc sh ->
+  Mutex.protect t.mu (fun () ->
       {
-        ps_shape_hits = acc.ps_shape_hits + sh.sh_shape_hits;
-        ps_exact_hits = acc.ps_exact_hits + sh.sh_exact_hits;
-        ps_binds = acc.ps_binds + sh.sh_binds;
-        ps_bind_host_s = acc.ps_bind_host_s +. sh.sh_bind_host_s;
+        ps_shape_hits = t.shape_hits;
+        ps_exact_hits = t.exact_hits;
+        ps_binds = t.binds;
+        ps_bind_host_s = t.bind_host_s;
       })
 
 (** Sum of pins across live entries — zero when the server has quiesced. *)
 let live_pins t =
-  fold_shards t 0 (fun acc sh ->
-      let n = ref acc in
-      Lru.iter sh.sh_modules (fun e -> n := !n + !(e.ce_pins));
+  Mutex.protect t.mu (fun () ->
+      let n = ref 0 in
+      Lru.iter t.modules (fun e -> n := !n + !(e.ce_pins));
       !n)
 
 type mem_stats = {
@@ -636,47 +500,16 @@ type mem_stats = {
   ms_max_entry_bytes : int;  (** largest single module compiled here *)
   ms_pin_underflows : int;  (** unbalanced unpins caught and clamped *)
   ms_backend_compiles : int;  (** back-end compiles actually run *)
-  ms_dedup_waits : int;
-      (** misses served by waiting on another domain's in-flight compile
-          instead of compiling redundantly *)
 }
 
 let mem_stats t =
-  fold_shards t
-    {
-      ms_bytes_freed = 0;
-      ms_max_entry_bytes = 0;
-      ms_pin_underflows = 0;
-      ms_backend_compiles = 0;
-      ms_dedup_waits = 0;
-    }
-    (fun acc sh ->
+  Mutex.protect t.mu (fun () ->
       {
-        ms_bytes_freed = acc.ms_bytes_freed + sh.sh_bytes_freed;
-        ms_max_entry_bytes = max acc.ms_max_entry_bytes sh.sh_max_entry_bytes;
-        ms_pin_underflows = acc.ms_pin_underflows + sh.sh_pin_underflows;
-        ms_backend_compiles = acc.ms_backend_compiles + sh.sh_compiles;
-        ms_dedup_waits = acc.ms_dedup_waits + sh.sh_dedup_waits;
+        ms_bytes_freed = t.bytes_freed;
+        ms_max_entry_bytes = t.max_entry_bytes;
+        ms_pin_underflows = t.pin_underflows;
+        ms_backend_compiles = t.compiles;
       })
-
-let pp_stats fmt t =
-  let s = stats t in
-  let ms = mem_stats t in
-  Format.fprintf fmt
-    "hits %d  misses %d  hit-rate %.1f%%  entries %d  evictions %d  bytes %d  bytes-freed %d"
-    s.Lru.hits s.Lru.misses
-    (if s.Lru.hits + s.Lru.misses > 0 then
-       100.0 *. float_of_int s.Lru.hits /. float_of_int (s.Lru.hits + s.Lru.misses)
-     else 0.0)
-    s.Lru.entries s.Lru.evictions s.Lru.bytes ms.ms_bytes_freed;
-  if shard_count t > 1 || ms.ms_dedup_waits > 0 then
-    Format.fprintf fmt "  shards %d  compiles %d  dedup-waits %d"
-      (shard_count t) ms.ms_backend_compiles ms.ms_dedup_waits;
-  let p = param_stats t in
-  if p.ps_binds + p.ps_shape_hits + p.ps_exact_hits > 0 then
-    Format.fprintf fmt
-      "  param: shape-hits %d  exact-hits %d  binds %d  bind-time %.6fs"
-      p.ps_shape_hits p.ps_exact_hits p.ps_binds p.ps_bind_host_s
 
 (* ---------------- persistent snapshots ---------------- *)
 
@@ -693,10 +526,7 @@ let pp_stats fmt t =
      | { str s, i64 struct addr, i64 body addr } * | str artifact
 
    Records are written LRU-first so a load into any capacity re-creates
-   the same recency order and overflow evicts the coldest entries. A
-   sharded cache writes its shards in index order, each coldest-first —
-   recency is preserved per shard (and exactly overall for the
-   single-shard layout every deterministic run uses). Everything
+   the same recency order and overflow evicts the coldest entries. Everything
    malformed — bad magic, other version, other target, length mismatch,
    checksum mismatch, key mismatch, layout mismatch, artifact corruption —
    raises [Invalid_argument]; a snapshot is either loaded exactly or not
@@ -728,18 +558,15 @@ let add_str buf s =
     compile cost is microseconds, there is nothing worth persisting. *)
 let save t file =
   let records =
-    List.concat_map
-      (fun sh ->
-        Mutex.protect sh.sh_mu (fun () ->
-            (* LRU-first: keys_mru is most-recent-first *)
-            List.rev
-              (List.filter_map
-                 (fun k ->
-                   match Lru.peek sh.sh_modules k with
-                   | Some e when e.ce_art <> None -> Some (k, e)
-                   | _ -> None)
-                 (Lru.keys_mru sh.sh_modules))))
-      (Array.to_list t.shards)
+    Mutex.protect t.mu (fun () ->
+        (* LRU-first: keys_mru is most-recent-first *)
+        List.rev
+          (List.filter_map
+             (fun k ->
+               match Lru.peek t.modules k with
+               | Some e when e.ce_art <> None -> Some (k, e)
+               | _ -> None)
+             (Lru.keys_mru t.modules)))
   in
   let payload = Buffer.create 65536 in
   let target = ref "" in
@@ -829,16 +656,16 @@ let read_file path =
       s
 
 (** Load a snapshot written by {!save} into a fresh cache of [capacity]
-    entries over [shards] hash shards (default 1). [db] must be the same
-    deterministic database build the snapshot was taken against (checked
-    via {!Engine.layout_fingerprint}) on the same target with the same
-    runtime registry (checked per record and again by the linker). Entries
-    are inserted coldest-first and {e unlinked}: the first cache hit pays
-    the re-link, so loading is cheap even for snapshots far larger than
-    [capacity] — the overflow simply evicts the coldest records with zero
-    pins and zero spurious byte accounting. All corruption and
-    version/layout mismatches raise [Invalid_argument]. *)
-let load ~capacity ?(shards = 1) ~db file =
+    entries. [db] must be the same deterministic database build the
+    snapshot was taken against (checked via {!Engine.layout_fingerprint})
+    on the same target with the same runtime registry (checked per record
+    and again by the linker). Entries are inserted coldest-first and
+    {e unlinked}: the first cache hit pays the re-link, so loading is
+    cheap even for snapshots far larger than [capacity] — the overflow
+    simply evicts the coldest records with zero pins and zero spurious
+    byte accounting. All corruption and version/layout mismatches raise
+    [Invalid_argument]. *)
+let load ~capacity ~db file =
   let s = read_file file in
   let len = String.length s in
   let pos = ref 0 in
@@ -911,7 +738,7 @@ let load ~capacity ?(shards = 1) ~db file =
     pos := !pos + n;
     v
   in
-  let t = create_sharded ~capacity ~shards in
+  let t = create ~capacity in
   let db_fp = Engine.layout_fingerprint db in
   let claimed = Hashtbl.create 32 in
   for _ = 1 to count do
@@ -961,7 +788,6 @@ let load ~capacity ?(shards = 1) ~db file =
     let e =
       {
         ce_name = name;
-        ce_key = k;
         ce_plan = plan;
         ce_fp = fp;
         ce_art = Some art;

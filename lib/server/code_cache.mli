@@ -31,20 +31,13 @@
     be {!pin}ned; a pinned entry that gets evicted is disposed only when
     its last {!unpin} arrives, so running code is never freed.
 
-    Thread-safe and {e hash-sharded}: entries are distributed over
-    independent LRU shards (keyed by fingerprint and back-end), each
-    behind its own mutex, so worker domains hitting different plans never
-    contend on one global lock. [{!create} ~capacity] is the single-shard
-    configuration — exactly the previous behavior, including snapshot
-    byte layout — and the only one the deterministic discrete-event
-    driver uses; {!create_sharded} spreads the capacity over several
-    shards for the parallel pool. Stats aggregate across shards on read.
-    Concurrent misses on one key are deduplicated: the first domain
-    compiles, racers wait on the shard's condition variable and reuse the
-    result ({!get_or_compile}). Compilation runs outside the shard mutex
-    (independent plans compile concurrently) under the emulator's
-    code-layout lock; a shard mutex is always taken before the layout
-    lock, never after. *)
+    Thread-safe: one LRU behind one mutex. The cache keeps no table of
+    compiles in flight — deduplicating concurrent misses on one key is
+    the serving lifecycle's job ({!Lifecycle.pending}), which
+    {!insert}s each compile when it lands. Compilation runs outside the
+    cache mutex (independent plans compile concurrently) under the
+    emulator's code-layout lock; the cache mutex is always taken before
+    the layout lock, never after. *)
 
 type key = {
   ck_fp : int64;  (** canonical plan (shape) fingerprint *)
@@ -67,7 +60,6 @@ type bound = {
 
 type entry = {
   ce_name : string;  (** query name (for re-codegen after a {!load}) *)
-  ce_key : key;  (** the entry's home key — locates its shard *)
   ce_plan : Qcomp_plan.Algebra.t;
       (** the {e shape}: for parameterized queries, eligible literals have
           been replaced by [Expr.Param] holes ({!Qcomp_plan.Paramize}) *)
@@ -115,17 +107,9 @@ type param_stats = {
 
 type t
 
-(** [create ~capacity] bounds the module LRU to [capacity] entries over a
-    single shard — the deterministic configuration. *)
+(** [create ~capacity] bounds the module LRU to [capacity] entries.
+    Raises [Invalid_argument] unless [capacity] is positive. *)
 val create : capacity:int -> t
-
-(** [create_sharded ~capacity ~shards] distributes [capacity] entries
-    (ceil-divided, so the aggregate bound never shrinks) over [shards]
-    hash shards, each with its own lock — for the parallel pool. Raises
-    [Invalid_argument] unless both are positive. *)
-val create_sharded : capacity:int -> shards:int -> t
-
-val shard_count : t -> int
 
 (** Cache key of [plan] compiled by [backend] for [db]'s target. *)
 val key : Qcomp_engine.Engine.db -> backend:Qcomp_backend.Backend.t -> Qcomp_plan.Algebra.t -> key
@@ -162,21 +146,12 @@ val force :
     for modules already disposed with their evicted entry. *)
 val release : t -> entry -> Qcomp_backend.Backend.compiled_module -> unit
 
-(** Codegen once per (fingerprint, target), memoized. *)
-val plan_ir :
-  t ->
-  Qcomp_engine.Engine.db ->
-  fp:int64 ->
-  name:string ->
-  Qcomp_plan.Algebra.t ->
-  Qcomp_codegen.Codegen.compiled
-
-(** Compile without touching the LRU (for background compilations that
-    become visible only at their simulated completion event). When the
+(** Compile without touching the LRU (the caller {!insert}s the entry
+    when its driver's clock says the compile has finished). When the
     back-end supports relocatable output, the entry retains the artifact
     so {!save} can snapshot it. [params] binds the submitter's literal
-    vector into the entry's initial instance. Must not be called with a
-    shard mutex held. *)
+    vector into the entry's initial instance. Runs with no cache lock
+    held. *)
 val compile_uncached :
   t ->
   Qcomp_engine.Engine.db ->
@@ -188,22 +163,15 @@ val compile_uncached :
 
 val insert : t -> key -> entry -> unit
 
-(** [(entry, hit)] — compiles and inserts on miss. Concurrent misses on
-    one key are deduplicated through a per-shard in-flight table: the
-    first domain compiles, racers block on the shard's condition variable
-    and return the finished entry as a hit (counted in
-    [ms_dedup_waits] — no redundant back-end compile is ever run).
-    [~stats:false] keeps the lookup out of the hit/miss counters;
-    [~pin:true] pins the returned entry atomically with the
-    lookup/insert, so an eviction cannot free it before the caller runs
-    it. *)
+(** [(entry, hit)]: {!find}, and on a miss {!compile_uncached} then
+    {!insert}. No deduplication — concurrent misses on one key each
+    compile; the serving drivers go through {!Lifecycle.fetch}, which
+    joins a compile already in flight. *)
 val get_or_compile :
   t ->
   Qcomp_engine.Engine.db ->
   backend:Qcomp_backend.Backend.t ->
   ?params:Qcomp_backend.Artifact.param_value array ->
-  ?stats:bool ->
-  ?pin:bool ->
   name:string ->
   Qcomp_plan.Algebra.t ->
   entry * bool
@@ -218,10 +186,9 @@ val pin : t -> entry -> unit
     [ms_pin_underflows], and logged on first occurrence. *)
 val unpin : t -> entry -> unit
 
-(** Aggregated over all shards. *)
 val stats : t -> Lru.stats
 
-(** The run's parameter-cache counters (aggregated over all shards). *)
+(** The run's parameter-cache counters. *)
 val param_stats : t -> param_stats
 
 (** Sum of pins across live entries — zero once a server run quiesces. *)
@@ -232,13 +199,9 @@ type mem_stats = {
   ms_max_entry_bytes : int;  (** largest single module compiled here *)
   ms_pin_underflows : int;  (** unbalanced unpins caught and clamped *)
   ms_backend_compiles : int;  (** back-end compiles actually run *)
-  ms_dedup_waits : int;
-      (** misses served by waiting on another domain's in-flight compile
-          instead of compiling redundantly *)
 }
 
 val mem_stats : t -> mem_stats
-val pp_stats : Format.formatter -> t -> unit
 
 (** {1 Persistent snapshots}
 
@@ -253,22 +216,19 @@ val pp_stats : Format.formatter -> t -> unit
 
 (** [save t file] snapshots every artifact-bearing entry to [file]
     (written atomically via a temp file), coldest entry first so {!load}
-    reconstructs the same recency order (per shard, in shard index order;
-    exactly overall for the single-shard layout deterministic runs use).
-    Interpreter entries (no artifact) are skipped. *)
+    reconstructs the same recency order. Interpreter entries (no
+    artifact) are skipped. *)
 val save : t -> string -> unit
 
-(** [load ~capacity ?shards ~db file] is a fresh cache of [capacity]
-    entries over [shards] hash shards (default 1) holding [file]'s
-    records, unlinked — each entry re-links lazily on its first hit. [db]
-    must be the same deterministic database build the snapshot was taken
-    against (same target, same {!Engine.layout_fingerprint}); loading
-    should happen right after the database is built, before any query
-    runs, so the baked string constants can be re-materialized at their
-    original addresses. If the snapshot holds more than [capacity] records
-    the coldest overflow is evicted cleanly (no pins, no spurious byte
-    accounting). Truncated, bit-flipped, version-mismatched or
-    layout-mismatched snapshots raise [Invalid_argument] with a
-    descriptive message. *)
-val load :
-  capacity:int -> ?shards:int -> db:Qcomp_engine.Engine.db -> string -> t
+(** [load ~capacity ~db file] is a fresh cache of [capacity] entries
+    holding [file]'s records, unlinked — each entry re-links lazily on
+    its first hit. [db] must be the same deterministic database build the
+    snapshot was taken against (same target, same
+    {!Engine.layout_fingerprint}); loading should happen right after the
+    database is built, before any query runs, so the baked string
+    constants can be re-materialized at their original addresses. If the
+    snapshot holds more than [capacity] records the coldest overflow is
+    evicted cleanly (no pins, no spurious byte accounting). Truncated,
+    bit-flipped, version-mismatched or layout-mismatched snapshots raise
+    [Invalid_argument] with a descriptive message. *)
+val load : capacity:int -> db:Qcomp_engine.Engine.db -> string -> t

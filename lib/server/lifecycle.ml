@@ -54,10 +54,6 @@ module Config = struct
         (** bound on admission-queue occupancy; arrivals beyond it are
             shed (rejected, counted, reported). [None] = unbounded *)
     tenants : int;  (** tenant FIFOs in the admission queue (fair dequeue) *)
-    cache_shards : int;
-        (** hash shards of the code cache the domain pool creates; the
-            event driver always creates the single-lock layout, since
-            sharding only pays under real parallelism *)
     intra : int;
         (** intra-query lanes: parallelizable pipeline bodies fan each
             quantum's morsels out over this many lanes ({!Morsel_sched}).
@@ -67,8 +63,7 @@ module Config = struct
   }
 
   (** Tiered (static estimate), 4 workers, 2 compile slots, 512-row
-      morsels, unbounded admission, 1 tenant, 1 cache shard, serial
-      bodies. *)
+      morsels, unbounded admission, 1 tenant, serial bodies. *)
   let default_config =
     {
       workers = 4;
@@ -82,7 +77,6 @@ module Config = struct
       seed = 42L;
       admission_cap = None;
       tenants = 1;
-      cache_shards = 1;
       intra = 1;
     }
 
@@ -102,8 +96,8 @@ end
 include Config
 
 (** Raise [Invalid_argument] unless every sizing field ([workers],
-    [compile_slots], [morsel], [cache_capacity], [tenants],
-    [cache_shards], [intra] and, when given, [admission_cap]) is positive;
+    [compile_slots], [morsel], [cache_capacity], [tenants], [intra] and,
+    when given, [admission_cap]) is positive;
     [driver] prefixes the message. Both drivers validate through here, so
     a bad field fails the same way everywhere — previously [workers]
     raised while [compile_slots] was silently clamped to 1, which masked
@@ -118,7 +112,6 @@ let validate_config ~driver c =
   need "morsel" c.morsel;
   need "cache_capacity" c.cache_capacity;
   need "tenants" c.tenants;
-  need "cache_shards" c.cache_shards;
   need "intra" c.intra;
   match c.admission_cap with
   | Some cap -> need "admission_cap" cap
@@ -186,8 +179,9 @@ type t = {
      controller makes no new decision until the swap is consumed *)
   mutable q_upgrading : bool;
   (* a finished background compile parks the (tier name, entry) here,
-     already pinned for this query; the next quantum boundary applies it *)
-  q_swap : (string * Code_cache.entry) option Atomic.t;
+     already pinned for this query, or its failure; the next quantum
+     boundary applies it *)
+  q_swap : (string * Code_cache.entry, exn) result option Atomic.t;
   mutable q_switch_s : float option;
   mutable q_started_tier0 : bool;  (** first quantum ran interpreter code *)
   (* every cache entry this query touches is pinned until it finishes, so
@@ -280,28 +274,66 @@ let rung_job db q (tier, backend) =
   then job db ~tier ~backend ~plan:q.q_exact ~params:[||]
   else job db ~tier ~backend ~plan:q.q_plan ~params:q.q_params
 
-(** Compile [j] for [q] without touching the cache. *)
-let compile env db q j =
-  Code_cache.compile_uncached env.cache db ~backend:j.j_backend
-    ~params:j.j_params ~name:q.q_name j.j_plan
-
-(** In-flight compiles: key -> callbacks awaiting the entry. A lookup of
-    a key already in flight joins it instead of compiling again. *)
-type pending = (Code_cache.key, (Code_cache.entry -> unit) list ref) Hashtbl.t
+(** In-flight compiles: key -> callbacks awaiting the entry, or the
+    failure. The one in-flight table of a serving run: a lookup of a key
+    already in flight joins it instead of compiling again. *)
+type pending =
+  ( Code_cache.key,
+    ((Code_cache.entry, exn) result -> unit) list ref )
+  Hashtbl.t
 
 let pending () : pending = Hashtbl.create 16
+
+(** Wait on [k]'s in-flight compile; [false] if [k] is not in flight
+    (it landed or failed already). Callers hold [env.locked]. *)
+let join (pending : pending) k on_ready =
+  match Hashtbl.find_opt pending k with
+  | Some waiters ->
+      waiters := on_ready :: !waiters;
+      true
+  | None -> false
 
 (** Join [k]'s in-flight compile, or start tracking one; [true] iff [k]
     was not yet in flight, so the caller must compile it. Callers hold
     [env.locked]. *)
-let await (pending : pending) (k : Code_cache.key) on_ready =
-  match Hashtbl.find_opt pending k with
-  | Some waiters ->
-      waiters := on_ready :: !waiters;
-      false
-  | None ->
-      Hashtbl.replace pending k (ref [ on_ready ]);
-      true
+let await pending k on_ready =
+  if join pending k on_ready then false
+  else begin
+    Hashtbl.replace pending k (ref [ on_ready ]);
+    true
+  end
+
+(* Take [k] out of flight and wake its waiters in the order they joined.
+   Callers hold [env.locked]. *)
+let settle (pending : pending) k outcome =
+  let waiters =
+    match Hashtbl.find_opt pending k with Some w -> !w | None -> []
+  in
+  Hashtbl.remove pending k;
+  List.iter (fun f -> f outcome) (List.rev waiters)
+
+(** A compile landed: insert it into the cache and wake its waiters,
+    under [env.locked]. The creation pin keeps the entry from being
+    evicted-and-freed before the waiters pin it. *)
+let publish env pending k e =
+  env.locked (fun () ->
+      Code_cache.pin env.cache e;
+      Code_cache.insert env.cache k e;
+      settle pending k (Ok e);
+      Code_cache.unpin env.cache e)
+
+(** Compile [j] for [q] outside the lock, without touching the cache. A
+    compile that raises takes [j]'s key out of flight and wakes its
+    waiters with the failure before re-raising: a foreground joiner looks
+    up again (the first to miss compiles anew), an upgrade waiter parks
+    the failure so its query stays on its rung. *)
+let compile env db pending q j =
+  try
+    Code_cache.compile_uncached env.cache db ~backend:j.j_backend
+      ~params:j.j_params ~name:q.q_name j.j_plan
+  with exn ->
+    env.locked (fun () -> settle pending j.j_key (Error exn));
+    raise exn
 
 (* Callers hold [env.locked]. *)
 let record_pin q e = q.q_pinned <- e :: q.q_pinned
@@ -310,27 +342,14 @@ let hold env q e =
   Code_cache.pin env.cache e;
   record_pin q e
 
-(** A compile landed: insert it into the cache and wake its waiters in
-    the order they joined, under [env.locked]. The creation pin keeps the
-    entry from being evicted-and-freed before the waiters pin it. *)
-let publish env (pending : pending) k e =
-  env.locked (fun () ->
-      Code_cache.pin env.cache e;
-      Code_cache.insert env.cache k e;
-      let waiters =
-        match Hashtbl.find_opt pending k with Some w -> !w | None -> []
-      in
-      Hashtbl.remove pending k;
-      List.iter (fun f -> f e) (List.rev waiters);
-      Code_cache.unpin env.cache e)
-
-(** The waiter for the background compile of [j]: once it lands, it
-    parks as [q]'s next swap. A query that already drained must not pin
-    (nobody would unpin) nor park a swap. Runs under [env.locked]. *)
-let upgrade_when_ready env q j e =
+(** The waiter for the background compile of [j]: once it lands (or
+    fails), it parks as [q]'s next swap. A query that already drained
+    must not pin (nobody would unpin) nor park a swap. Runs under
+    [env.locked]. *)
+let upgrade_when_ready env q j r =
   if not q.q_done then begin
-    hold env q e;
-    Atomic.set q.q_swap (Some (j.j_tier, e))
+    Result.iter (hold env q) r;
+    Atomic.set q.q_swap (Some (Result.map (fun e -> (j.j_tier, e)) r))
   end
 
 (* ---------------- start: lookup, compile or bind ---------------- *)
@@ -457,44 +476,46 @@ let fetched q f (e, hit) =
       q.q_compile_s <- c;
       { entry = e; after = Some c; background }
 
-(** The lookup-or-compile itself: {!Code_cache.get_or_compile}, which
-    pins with the lookup and makes concurrent misses on one key wait for
-    the first compile; the outcome sets the hit flag and the foreground
-    compile charge. *)
-let fetch env db q f =
-  let e, hit =
-    Code_cache.get_or_compile env.cache db ~backend:f.f_job.j_backend
-      ~params:f.f_job.j_params
-      ~stats:(match f.f_charge with Full -> false | _ -> true)
-      ~pin:true ~name:q.q_name f.f_job.j_plan
-  in
-  env.locked (fun () -> record_pin q e);
-  fetched q f (e, hit)
-
-(** The same lookup-or-compile in virtual time, for the event driver: a
-    miss compiles now but its entry becomes visible only at the compile's
-    completion, when [at] fires {!publish}, exactly as a background
-    compile does. A lookup of a key still in flight joins {!pending} and
-    looks up again once the entry lands — where the pool's {!fetch} waits
-    inside {!Code_cache.get_or_compile}. Static keeps the immediate
-    {!fetch}: its full charge, counted from its own start, outlasts any
-    compile already in flight. *)
-let rec fetch_later env db pending q f ~at k =
+(** The lookup-or-compile: a pinned lookup, else join the key's compile
+    in {!pending} and look up again once it lands or fails, else register
+    the key, compile outside the lock and publish. The result is [k]
+    applied to the {!run}. The driver supplies its clock:
+    [publish_after s p] makes a compile of [s] modelled seconds visible
+    ([Sim.after] on the event driver, at once on the pool), and
+    [join key retry] waits on [key]'s compile before calling [retry] (a
+    continuation on the event driver, a blocking wait on the pool).
+    Static ([Full]) publishes at once on both drivers: its full charge,
+    counted from its own start, outlasts any compile already in flight.
+    [k] runs before the publish is handed to [publish_after], so on the
+    event driver the query's own events come first. *)
+let rec fetch env db pending ~publish_after ~join q f k =
   let key = f.f_job.j_key in
-  match f.f_charge with
-  | Full -> k (fetch env db q f)
-  | Final | Tier0 _ -> (
-      match find_pinned env q key with
-      | Some e -> k (fetched q f (e, true))
-      | None when Hashtbl.mem pending key ->
-          ignore
-            (await pending key (fun _ -> fetch_later env db pending q f ~at k))
-      | None ->
-          let e = compile env db q f.f_job in
-          ignore (await pending key ignore);
-          env.locked (fun () -> hold env q e);
-          k (fetched q f (e, false));
-          at e.Code_cache.ce_compile_s (fun () -> publish env pending key e))
+  let found =
+    env.locked (fun () ->
+        let stats = match f.f_charge with Full -> false | _ -> true in
+        match Code_cache.find env.cache ~stats ~pin:true key with
+        | Some e ->
+            record_pin q e;
+            `Hit e
+        | None when Hashtbl.mem pending key -> `Join
+        | None ->
+            Hashtbl.replace pending key (ref []);
+            `Compile)
+  in
+  match found with
+  | `Hit e -> k (fetched q f (e, true))
+  | `Join ->
+      join key (fun () -> fetch env db pending ~publish_after ~join q f k)
+  | `Compile ->
+      let e = compile env db pending q f.f_job in
+      env.locked (fun () -> hold env q e);
+      let r = k (fetched q f (e, false)) in
+      let publish_after =
+        match f.f_charge with Full -> fun _ p -> p () | _ -> publish_after
+      in
+      publish_after e.Code_cache.ce_compile_s (fun () ->
+          publish env pending key e);
+      r
 
 (* Force (and claim) [e]'s instance for this query's literal vector;
    returns the module and the bind charge a fresh parameter bind costs. *)
@@ -564,7 +585,7 @@ let consider_upgrade env db q ex =
               q.q_upgrading <- true;
               match find_pinned env q j.j_key with
               | Some e ->
-                  Atomic.set q.q_swap (Some (tier, e));
+                  Atomic.set q.q_swap (Some (Ok (tier, e)));
                   None
               | None -> Some j))
 
@@ -576,7 +597,7 @@ let boundary env db q ex =
   if q.q_first_s = None && Exec.quanta ex > 0 then
     q.q_first_s <- Some (env.now () -. q.q_arrival);
   (match Atomic.exchange q.q_swap None with
-  | Some (tier, e) when not (Exec.finished ex) ->
+  | Some (Ok (tier, e)) when not (Exec.finished ex) ->
       let _, cm, _ = claim env db q e in
       Exec.swap ex cm;
       q.q_cur_tier <- tier;
@@ -584,6 +605,9 @@ let boundary env db q ex =
       q.q_upgrading <- false;
       if q.q_switch_s = None then
         q.q_switch_s <- Some (env.now () -. q.q_start)
+  | Some (Error _) ->
+      (* the upgrade's compile failed: finish on the current rung *)
+      q.q_upgrading <- false
   | _ -> ());
   if env.config.reopt && env.config.mode = Tiered then
     consider_upgrade env db q ex

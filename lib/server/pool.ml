@@ -23,9 +23,13 @@
     compile for real and runs its quanta back to back, and Tiered-mode
     strong-tier compiles run on dedicated background compile domains,
     hot-swapping at the next morsel boundary after the module lands.
-    Cached-mode misses compile in the foreground, deduplicated across
-    domains by the cache's per-shard in-flight table, so a burst of
-    identical plans compiles once and the rest wait.
+    Foreground misses compile on the worker and publish at once. Every
+    compile in flight, foreground or background, sits in the run's one
+    in-flight table ({!Lifecycle.pending}): a worker missing on a key
+    already compiling blocks on the pool's condition variable until it
+    lands, so a burst of identical plans compiles once and the rest wait.
+    A compile that raises wakes its waiters, and the next one to miss
+    compiles anew.
 
     What stays deterministic under parallelism: per-query rows and
     checksums (results are independent of allocation addresses and domain
@@ -38,13 +42,13 @@
     tests therefore compare the {e multiset} of (name, rows, checksum),
     and use a cap at least the stream length when they need zero sheds.
 
-    Lock ordering: the pool mutex is the outermost; {!Code_cache}'s shard
-    mutexes and the emulator's layout/registry locks nest inside it (the
-    cache also takes its shard mutexes with no pool mutex held — the
-    nesting is one-directional, never shard-then-pool). Entries are pinned
-    in the same cache critical section as the lookup or insert, so an
-    eviction in the return window can never free in-flight code; the bound
-    instance a query executes is additionally {e claimed}
+    Lock ordering: the pool mutex is the outermost; the {!Code_cache}
+    mutex and the emulator's layout/registry locks nest inside it (the
+    cache also takes its mutex with no pool mutex held — the nesting is
+    one-directional, never cache-then-pool). Entries are pinned in the
+    same critical section as the lookup, and a compiling query pins its
+    entry before publishing it, so an eviction can never free in-flight
+    code; the bound instance a query executes is additionally {e claimed}
     ({!Code_cache.force} [~claim:true]) so another query's literal churn
     cannot dispose it mid-execution. *)
 
@@ -58,9 +62,7 @@ let run_requests ?cache db ~domains config requests =
   let cache =
     match cache with
     | Some c -> c
-    | None ->
-        Code_cache.create_sharded ~capacity:config.cache_capacity
-          ~shards:config.cache_shards
+    | None -> Code_cache.create ~capacity:config.cache_capacity
   in
   let mu = Mutex.create () in
   let t0 = Timing.now () in
@@ -79,9 +81,23 @@ let run_requests ?cache db ~domains config requests =
     Admission.create ?cap:config.admission_cap ~tenants:config.tenants ()
   in
   let sheds = ref [] in
-  (* background (Tiered strong-tier and reopt) compiles in flight; doubles
-     as the dedup table for the compile queue *)
+  (* every compile in flight, foreground or background; a worker joining
+     one blocks on [landed_cv] until it lands or fails *)
   let pending = Lifecycle.pending () in
+  let landed_cv = Condition.create () in
+  let join k retry =
+    let landed = ref false in
+    env.locked (fun () ->
+        if
+          Lifecycle.join pending k (fun _ ->
+              landed := true;
+              Condition.broadcast landed_cv)
+        then
+          while not !landed do
+            Condition.wait landed_cv mu
+          done);
+    retry ()
+  in
   let compile_jobs : (Engine.db -> unit) Queue.t = Queue.create () in
   let compile_cv = Condition.create () in
   let compile_closed = ref false in
@@ -98,7 +114,8 @@ let run_requests ?cache db ~domains config requests =
         then begin
           Queue.push
             (fun view ->
-              Lifecycle.publish env pending k (Lifecycle.compile env view q j))
+              Lifecycle.publish env pending k
+                (Lifecycle.compile env view pending q j))
             compile_jobs;
           Condition.signal compile_cv
         end)
@@ -109,7 +126,10 @@ let run_requests ?cache db ~domains config requests =
     let r =
       match Lifecycle.start env view q with
       | Lifecycle.Run r -> r
-      | Lifecycle.Fetch f -> Lifecycle.fetch env view q f
+      | Lifecycle.Fetch f ->
+          Lifecycle.fetch env view pending
+            ~publish_after:(fun _ publish -> publish ())
+            ~join q f Fun.id
     in
     Option.iter (submit q) r.Lifecycle.background;
     let ex, _ = Lifecycle.begin_exec env view ?sched q r.Lifecycle.entry in

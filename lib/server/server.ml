@@ -69,7 +69,7 @@ let run_requests_events ?cache db config requests =
   (* the compile pool: bounded slots draining a FIFO of jobs; the host
      compilation runs when the slot is acquired, but the result becomes
      visible (cache insert + waiter callbacks) only at the simulated
-     completion event *)
+     completion event; a failed compile wakes its waiters at once *)
   let rec pump_compiles () =
     while !free_slots > 0 && not (Queue.is_empty compile_jobs) do
       decr free_slots;
@@ -80,7 +80,7 @@ let run_requests_events ?cache db config requests =
     if Lifecycle.await pending k (Lifecycle.upgrade_when_ready env q j) then begin
       Queue.push
         (fun () ->
-          match Lifecycle.compile env db q j with
+          match Lifecycle.compile env db pending q j with
           | e ->
               Sim.after sim e.Code_cache.ce_compile_s (fun () ->
                   Lifecycle.publish env pending k e;
@@ -115,8 +115,13 @@ let run_requests_events ?cache db config requests =
     match Lifecycle.start env db q with
     | Lifecycle.Run r -> perform q r
     | Lifecycle.Fetch f ->
-        Lifecycle.fetch_later env db pending q f ~at:(Sim.after sim) (fun r ->
-            guard q (fun () -> perform q r))
+        (* a join resumes in the landing compile's event, under [q]'s guard *)
+        let join k retry =
+          if not (Lifecycle.join pending k (fun _ -> guard q retry)) then
+            retry ()
+        in
+        Lifecycle.fetch env db pending ~publish_after:(Sim.after sim) ~join q f
+          (fun r -> guard q (fun () -> perform q r))
   and perform q { Lifecycle.entry; after; background } =
     Option.iter (submit q) background;
     match after with

@@ -284,26 +284,26 @@ let idle_pool_cpu_test =
 let dedup_compile_test =
   Alcotest.test_case "concurrent misses dedup to one back-end compile" `Quick
     (fun () ->
+      (* four identical Cached misses at t=0 race on four worker domains:
+         the first compiles, the rest join its compile in flight *)
       let db = make_db ~rows:256 () in
       let cache = Code_cache.create ~capacity:8 in
       let plan = List.assoc "agg" fixed_plans in
-      let domains =
+      let reqs =
         List.init 4 (fun _ ->
-            Domain.spawn (fun () ->
-                Code_cache.get_or_compile cache db ~backend:Engine.cranelift
-                  ~stats:false ~name:"agg" plan))
+            { Server.rq_name = "agg"; rq_plan = plan; rq_arrival = 0.0;
+              rq_tenant = 0 })
       in
-      let entries = List.map (fun d -> fst (Domain.join d)) domains in
+      let cfg = { Server.default_config with Server.mode = Server.Cached } in
+      let r = Server.run_requests ~cache ~parallel:4 db cfg reqs in
       let ms = Code_cache.mem_stats cache in
       check Alcotest.int "one back-end compile" 1 ms.Code_cache.ms_backend_compiles;
       check Alcotest.int "one cache entry" 1 (Code_cache.stats cache).Lru.entries;
-      (match entries with
-      | e :: rest ->
-          List.iter
-            (fun e' ->
-              check Alcotest.bool "all domains share the entry" true (e == e'))
-            rest
-      | [] -> Alcotest.fail "no entries"))
+      match List.map (fun q -> q.Report.qm_checksum) r.Report.r_queries with
+      | [ a; b; c; d ] ->
+          check Alcotest.(list int64) "four identical checksums" [ a; a; a ]
+            [ b; c; d ]
+      | l -> Alcotest.failf "%d queries served, expected 4" (List.length l))
 
 let to_pv = function
   | Paramize.V_int (_, v) -> Qcomp_backend.Artifact.Pv_int v
@@ -420,49 +420,6 @@ let overload_pool_test =
       check Alcotest.bool "admitted results identical uncapped" true
         (List.for_all (fun k -> List.mem k uncapped_ref) (multiset tight)))
 
-let sharded_cache_test =
-  Alcotest.test_case "sharded cache serves identically and snapshots" `Quick
-    (fun () ->
-      let stream = Server.make_stream ~seed:7L ~n:40 fixed_plans in
-      let cfg shards =
-        {
-          Server.default_config with
-          Server.mode = Server.Cached;
-          Server.cache_capacity = 32;
-          Server.cache_shards = shards;
-        }
-      in
-      let one = Server.run (make_db ~rows:1024 ()) (cfg 1) stream in
-      let four_cache = Code_cache.create_sharded ~capacity:32 ~shards:4 in
-      let four =
-        Server.run ~cache:four_cache (make_db ~rows:1024 ()) (cfg 4) stream
-      in
-      check Alcotest.int "shard count" 4 (Code_cache.shard_count four_cache);
-      check
-        Alcotest.(list (triple string int int64))
-        "4 shards = 1 shard" (multiset one) (multiset four);
-      check Alcotest.int "same hits"
-        one.Report.r_cache.Lru.hits four.Report.r_cache.Lru.hits;
-      check Alcotest.int "same misses"
-        one.Report.r_cache.Lru.misses four.Report.r_cache.Lru.misses;
-      (* snapshot from a 4-shard cache reloads into a 2-shard one *)
-      let snap = Filename.temp_file "qcss" ".snap" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove snap)
-        (fun () ->
-          Code_cache.save four_cache snap;
-          let db2 = make_db ~rows:1024 () in
-          let warm = Code_cache.load ~capacity:32 ~shards:2 ~db:db2 snap in
-          check Alcotest.int "entries survive re-sharding"
-            (Code_cache.stats four_cache).Lru.entries
-            (Code_cache.stats warm).Lru.entries;
-          let rewarm = Server.run ~cache:warm db2 (cfg 2) stream in
-          check Alcotest.int "warm run never misses" 0
-            (Code_cache.stats warm).Lru.misses;
-          check
-            Alcotest.(list (triple string int int64))
-            "warm results identical" (multiset one) (multiset rewarm)))
-
 let suite =
   admission_tests @ hist_tests @ trafficgen_tests
   @ [
@@ -471,5 +428,4 @@ let suite =
       mru_overflow_test;
       overload_event_test;
       overload_pool_test;
-      sharded_cache_test;
     ]

@@ -839,6 +839,116 @@ let trap_release_test =
           (Server.Tiered, None, 2); (Server.Cached, Some 2, 1);
           (Server.Tiered, Some 2, 1); (Server.Tiered, Some 2, 2) ])
 
+(* Cranelift, except that its first artifact compile raises. *)
+let flaky_cranelift () : Qcomp_backend.Backend.t =
+  let module B = (val Engine.cranelift : Qcomp_backend.Backend.S) in
+  let failed = Atomic.make false in
+  (module struct
+    include B
+
+    let compile_artifact =
+      Option.map
+        (fun compile ~timing ~target ~registry m ->
+          if Atomic.compare_and_set failed false true then
+            failwith "injected compile failure"
+          else compile ~timing ~target ~registry m)
+        B.compile_artifact
+  end)
+
+let injected_failure label = function
+  | Failure msg ->
+      check Alcotest.string (label ^ ": the injected failure propagates")
+        "injected compile failure" msg
+  | exn -> raise exn
+
+(* A compile that raises takes its key out of flight and wakes every
+   waiter with the failure. A parked upgrade then clears [q_upgrading]
+   at the next boundary, so its query finishes on its current rung
+   instead of waiting on a compile that never lands. *)
+let failed_compile_wakes_test =
+  Alcotest.test_case "a failed compile wakes its waiters and leaves flight"
+    `Quick (fun () ->
+      let db = make_db () in
+      let cache = Code_cache.create ~capacity:8 in
+      let config = Server.default_config in
+      let env =
+        { Lifecycle.config; cache; now = (fun () -> 0.0); locked = (fun f -> f ()) }
+      in
+      let pending = Lifecycle.pending () in
+      let arrive name =
+        Lifecycle.arrive config
+          { Server.rq_name = name; rq_plan = scan; rq_arrival = 0.0; rq_tenant = 0 }
+      in
+      let a = arrive "a" and b = arrive "b" in
+      let j =
+        Lifecycle.job db ~tier:"cranelift" ~backend:(flaky_cranelift ())
+          ~plan:scan ~params:[||]
+      in
+      let k = j.Lifecycle.j_key in
+      check Alcotest.bool "a's waiter starts the compile" true
+        (Lifecycle.await pending k (Lifecycle.upgrade_when_ready env a j));
+      check Alcotest.bool "b's waiter joins it" false
+        (Lifecycle.await pending k (Lifecycle.upgrade_when_ready env b j));
+      (match Lifecycle.compile env db pending a j with
+      | _ -> Alcotest.fail "the injected failure did not raise"
+      | exception exn -> injected_failure "compile" exn);
+      check Alcotest.bool "key no longer in flight" false
+        (Hashtbl.mem pending k);
+      List.iter
+        (fun (q : Lifecycle.t) ->
+          check Alcotest.bool (q.Lifecycle.q_name ^ " woken with the failure")
+            true
+            (match Atomic.get q.Lifecycle.q_swap with
+            | Some (Error _) -> true
+            | _ -> false))
+        [ a; b ];
+      check Alcotest.int "no pins" 0 (Code_cache.live_pins cache);
+      (* a's next boundary consumes the failure and clears the upgrade *)
+      let e, _ =
+        Code_cache.get_or_compile cache db ~backend:Engine.interpreter
+          ~name:"a" scan
+      in
+      let ex, _ = Lifecycle.begin_exec env db a e in
+      a.Lifecycle.q_upgrading <- true;
+      ignore (Lifecycle.boundary env db a ex);
+      check Alcotest.bool "upgrade cleared" false a.Lifecycle.q_upgrading;
+      check Alcotest.bool "failure consumed" true
+        (Atomic.get a.Lifecycle.q_swap = None);
+      Lifecycle.fail env a)
+
+(* Two identical Static requests at t=0 whose first compile raises: the
+   failing query re-raises at the end of the run instead of leaving the
+   other waiting on a compile that never lands, and the second query
+   compiles the entry itself. *)
+let failed_compile_retry_test =
+  Alcotest.test_case "a failed foreground compile is retried by the next miss"
+    `Quick (fun () ->
+      List.iter
+        (fun parallel ->
+          let label = if parallel = None then "event" else "pool" in
+          let db = make_db () in
+          let cache = Code_cache.create ~capacity:8 in
+          let cfg =
+            { Server.default_config with Server.mode = Server.Static (flaky_cranelift ()) }
+          in
+          let reqs =
+            List.map
+              (fun name ->
+                { Server.rq_name = name; rq_plan = scan; rq_arrival = 0.0;
+                  rq_tenant = 0 })
+              [ "a"; "b" ]
+          in
+          (match Server.run_requests ~cache ?parallel db cfg reqs with
+          | _ -> Alcotest.failf "%s: the injected failure did not propagate" label
+          | exception exn -> injected_failure label exn);
+          check Alcotest.int (label ^ ": no pins left") 0
+            (Code_cache.live_pins cache);
+          check Alcotest.int (label ^ ": the second query's entry is cached") 1
+            (Code_cache.stats cache).Lru.entries;
+          check Alcotest.int (label ^ ": one compile landed") 1
+            (Code_cache.mem_stats cache).Code_cache.ms_backend_compiles)
+        [ None; Some 2 ])
+
 (* A foreground compile becomes visible when it completes in virtual
    time: a second identical plan arriving while the first one's compile
    is in flight waits for it (a hit, charged nothing) instead of running
@@ -1197,6 +1307,7 @@ let suite =
       reopt_differential_test; deceptive_upgrade_test; second_upgrade_test;
       soak_test; costmodel_coverage_test; config_validation_test;
       static_stat_bypass_test; trap_release_test; inflight_join_test;
+      failed_compile_wakes_test; failed_compile_retry_test;
       fuzz_test;
       artifact_roundtrip_test; wire_roundtrip_test; key_v_test;
       snapshot_roundtrip_test; snapshot_overflow_test;
