@@ -40,6 +40,18 @@ let union_into ~src dst =
   done;
   !changed
 
+let union_diff_into ~src ~minus dst =
+  if src.n <> dst.n || minus.n <> dst.n then invalid_arg "Bitset.union_diff_into";
+  let changed = ref false in
+  for w = 0 to Array.length src.words - 1 do
+    let v = dst.words.(w) lor (src.words.(w) land lnot minus.words.(w)) in
+    if v <> dst.words.(w) then begin
+      dst.words.(w) <- v;
+      changed := true
+    end
+  done;
+  !changed
+
 let equal a b = a.n = b.n && a.words = b.words
 
 let iter f t =

@@ -16,6 +16,11 @@ val copy : t -> t
     [dst] changed (the fixpoint test of dataflow iteration). *)
 val union_into : src:t -> t -> bool
 
+(** [union_diff_into ~src ~minus dst] adds [src \ minus] to [dst] in one
+    pass over the words; returns [true] when [dst] changed. Block liveness
+    iterates [live_in = gen ∪ (live_out \ kill)] with it. *)
+val union_diff_into : src:t -> minus:t -> t -> bool
+
 val equal : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

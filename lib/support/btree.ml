@@ -96,6 +96,20 @@ let rec iter_node f n =
 
 let iter f t = iter_node f t.root
 
+(* Child [j] holds the keys between [keys.(j-1)] and [keys.(j)]; the walk
+   starts at the first key [>= lo] and stops at the first key [>= hi], so
+   it descends only into children that can hold keys of the range. *)
+let rec exists_range_node n lo hi p =
+  let rec go j =
+    ((not n.leaf) && exists_range_node n.children.(j) lo hi p)
+    || j < n.nkeys
+       && n.keys.(j) < hi
+       && (p n.keys.(j) n.values.(j) || go (j + 1))
+  in
+  go (lower_bound n lo)
+
+let exists_range t ~lo ~hi p = t.size > 0 && exists_range_node t.root lo hi p
+
 let to_list t =
   let acc = ref [] in
   iter (fun k v -> acc := (k, v) :: !acc) t;

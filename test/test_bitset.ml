@@ -58,6 +58,21 @@ let props =
         let s = Bitset.create 128 in
         List.iter (Bitset.add s) l;
         Bitset.to_list s = List.sort_uniq compare l);
+    prop "union_diff_into = union of the difference"
+      QCheck2.Gen.(triple (list (int_bound 127)) (list (int_bound 127)) (list (int_bound 127)))
+      (fun (d, a, m) ->
+        let set l =
+          let s = Bitset.create 128 in
+          List.iter (Bitset.add s) l;
+          s
+        in
+        let dst = set d in
+        let changed = Bitset.union_diff_into ~src:(set a) ~minus:(set m) dst in
+        let expect =
+          List.sort_uniq compare (d @ List.filter (fun x -> not (List.mem x m)) a)
+        in
+        Bitset.to_list dst = expect
+        && changed = (List.length expect <> List.length (List.sort_uniq compare d)));
     prop "fold counts" QCheck2.Gen.(list (int_bound 127)) (fun l ->
         let s = Bitset.create 128 in
         List.iter (Bitset.add s) l;
