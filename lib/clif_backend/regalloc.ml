@@ -2,13 +2,14 @@
 
     A modified linear scan, as the paper describes: live ranges are
     computed per virtual register by several passes over the code (block
-    liveness fixpoint, then a backward range-building scan), non-overlapping
-    move-related ranges are merged into bundles, and allocation assigns each
-    bundle to a physical register whose occupancy is tracked in a per-preg
-    B-tree — the data structure whose traversal the paper measures at ~6%
-    of register-allocation time. Bundles that fit no register are spilled
-    (we spill whole bundles instead of splitting them — a documented
-    simplification). *)
+    liveness fixpoint, then a backward range-building scan, both
+    {!Qcomp_support.Block_liveness}), non-overlapping move-related ranges
+    are merged into bundles, and allocation assigns each bundle to a
+    physical register whose occupancy is tracked in a per-preg B-tree
+    ({!Qcomp_support.Interference}) — the data structure whose traversal
+    the paper measures at ~6% of register-allocation time. Bundles that fit
+    no register are spilled (we spill whole bundles instead of splitting
+    them — a documented simplification). *)
 
 open Qcomp_support
 open Qcomp_vm
@@ -23,8 +24,7 @@ type t = {
       (** per-block liveness, used to elide dead write-through stores *)
   frame_size : int;  (** bytes of spill area *)
   num_spilled : int;
-  btree_ops : int;  (** B-tree insert/lookup count (statistics) *)
-  liveness_passes : int;
+  btree_ops : int;  (** interference-union insert/query count (statistics) *)
 }
 
 let caller_saved (target : Target.t) =
@@ -54,73 +54,25 @@ let run (vc : Vcode.t) : t =
     block_start.(b + 1) <- block_start.(b) + Vec.length vc.Vcode.insts.(b)
   done;
   let point b k = 2 * (block_start.(b) + k) in
-  (* ---- liveness fixpoint over blocks (pass 1 over the IR) ---- *)
-  let live_in = Array.init nb (fun _ -> Bitset.create nv) in
-  let live_out = Array.init nb (fun _ -> Bitset.create nv) in
-  let passes = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    incr passes;
-    for b = nb - 1 downto 0 do
-      let out = live_out.(b) in
-      List.iter
-        (fun s -> ignore (Bitset.union_into ~src:live_in.(s) out))
-        vc.Vcode.succs.(b);
-      let live = Bitset.copy out in
-      for k = Vec.length vc.Vcode.insts.(b) - 1 downto 0 do
-        let defs, uses = Vcode.defs_uses (Vec.get vc.Vcode.insts.(b) k) in
-        List.iter (fun d -> if Vcode.is_vreg d then Bitset.remove live (vidx d)) defs;
-        List.iter (fun u -> if Vcode.is_vreg u then Bitset.add live (vidx u)) uses
-      done;
-      if not (Bitset.equal live live_in.(b)) then begin
-        ignore (Bitset.union_into ~src:live live_in.(b));
-        changed := true
-      end
-    done
-  done;
-  (* ---- range building (pass 2) ---- *)
-  let ranges : (int * int) list array = Array.make nv [] in
-  let add_range v s e = if e > s then ranges.(v) <- (s, e) :: ranges.(v) in
-  for b = 0 to nb - 1 do
-    let n = Vec.length vc.Vcode.insts.(b) in
-    let bstart = point b 0 in
-    let bend = point b n in
-    let range_end = Array.make nv (-1) in
-    Bitset.iter (fun v -> range_end.(v) <- bend) live_out.(b);
-    for k = n - 1 downto 0 do
-      let defs, uses = Vcode.defs_uses (Vec.get vc.Vcode.insts.(b) k) in
-      let p = point b k in
-      List.iter
-        (fun d ->
-          if Vcode.is_vreg d then begin
-            let v = vidx d in
-            if range_end.(v) >= 0 then begin
-              add_range v (p + 1) range_end.(v);
-              range_end.(v) <- -1
-            end
-            else add_range v (p + 1) (p + 2)
-          end)
-        defs;
-      List.iter
-        (fun u ->
-          if Vcode.is_vreg u then begin
-            let v = vidx u in
-            if range_end.(v) < 0 then range_end.(v) <- p + 1
-          end)
-        uses
-    done;
-    for v = 0 to nv - 1 do
-      if range_end.(v) >= 0 then begin
-        add_range v bstart range_end.(v);
-        range_end.(v) <- -1
-      end
-    done
-  done;
+  (* ---- block liveness (pass 1 over the IR), then live ranges (pass 2) ---- *)
+  let code =
+    {
+      Block_liveness.nblocks = nb;
+      nvregs = nv;
+      vreg_base = Vcode.vreg_base;
+      succs = (fun b -> vc.Vcode.succs.(b));
+      length = (fun b -> Vec.length vc.Vcode.insts.(b));
+      defs_uses = (fun b k -> Vcode.defs_uses (Vec.get vc.Vcode.insts.(b) k));
+    }
+  in
+  let live = Block_liveness.solve code in
+  let ranges = Block_liveness.ranges code live ~point in
   (* ---- bundle merging via union-find (move-related, non-overlapping) ---- *)
   let parent = Array.init nv (fun i -> i) in
   let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); find parent.(i)) in
-  let bundle_ranges = Array.map (fun r -> List.sort compare r) ranges in
+  (* one register's segments are disjoint, so their starts are distinct *)
+  let by_start (sa, _) (sb, _) = Int.compare sa sb in
+  let bundle_ranges = Array.map (List.sort by_start) ranges in
   let overlaps a b =
     (* both sorted; sweep *)
     let rec go a b =
@@ -133,7 +85,7 @@ let run (vc : Vcode.t) : t =
     in
     go a b
   in
-  let merge_sorted a b = List.merge compare a b in
+  let merge_sorted a b = List.merge by_start a b in
   for b = 0 to nb - 1 do
     Vec.iter
       (fun inst ->
@@ -149,32 +101,29 @@ let run (vc : Vcode.t) : t =
         | _ -> ())
       vc.Vcode.insts.(b)
   done;
-  (* ---- per-preg occupancy B-trees, seeded with reservations ---- *)
+  (* ---- per-preg interference unions, seeded with reservations ---- *)
   let btree_ops = ref 0 in
-  let occupancy : int list Btree.t array = Array.init 32 (fun _ -> Btree.create ()) in
-  let occupy preg s e =
+  let unions = Array.init 32 (fun _ -> Interference.create ()) in
+  let occupy preg owner s e =
     incr btree_ops;
-    let prev = Option.value ~default:[] (Btree.find occupancy.(preg) s) in
-    Btree.insert occupancy.(preg) s (e :: prev)
+    Interference.add unions.(preg) owner s e
+  in
+  let reserve preg s e =
+    incr btree_ops;
+    Interference.add_fixed unions.(preg) s e
   in
   let conflicts preg s e =
     incr btree_ops;
-    (match Btree.find_le occupancy.(preg) s with
-    | Some (_, ends) when List.exists (fun e2 -> e2 > s) ends -> true
-    | _ -> (
-        incr btree_ops;
-        match Btree.find_ge occupancy.(preg) s with
-        | Some (s2, _) when s2 < e && s2 >= s -> true
-        | _ -> false))
+    Interference.conflicts unions.(preg) s e
   in
   List.iter
     (fun (b, from_pos, to_pos, preg) ->
-      occupy preg (point b from_pos) (point b to_pos + 2))
+      reserve preg (point b from_pos) (point b to_pos + 2))
     vc.Vcode.reservations;
   List.iter
     (fun (b, pos) ->
       List.iter
-        (fun preg -> occupy preg (point b pos) (point b pos + 2))
+        (fun preg -> reserve preg (point b pos) (point b pos + 2))
         (caller_saved target))
     vc.Vcode.call_positions;
   (* ---- allocation: bundles in start order ---- *)
@@ -182,7 +131,7 @@ let run (vc : Vcode.t) : t =
     List.init nv (fun v -> v)
     |> List.filter (fun v -> find v = v && bundle_ranges.(v) <> [])
     |> List.sort (fun a b ->
-           compare (fst (List.hd bundle_ranges.(a))) (fst (List.hd bundle_ranges.(b))))
+           by_start (List.hd bundle_ranges.(a)) (List.hd bundle_ranges.(b)))
   in
   let bundle_preg = Array.make nv (-1) in
   let bundle_spilled = Array.make nv false in
@@ -195,7 +144,7 @@ let run (vc : Vcode.t) : t =
       match List.find_opt fits pregs with
       | Some preg ->
           bundle_preg.(bu) <- preg;
-          List.iter (fun (s, e) -> occupy preg s e) segs
+          List.iter (fun (s, e) -> occupy preg bu s e) segs
       | None ->
           bundle_spilled.(bu) <- true;
           incr num_spilled)
@@ -244,7 +193,7 @@ let run (vc : Vcode.t) : t =
         (fun b (s, e) ->
           match List.find_opt (fun p -> not (conflicts p s e)) pregs with
           | Some preg ->
-              occupy preg s e;
+              occupy preg v s e;
               Hashtbl.replace block_pref (v, b) preg
           | None -> ())
         spans
@@ -254,9 +203,8 @@ let run (vc : Vcode.t) : t =
     assignment;
     spill_slot;
     block_pref;
-    live_out;
+    live_out = live.Block_liveness.live_out;
     frame_size = !frame;
     num_spilled = !num_spilled;
     btree_ops = !btree_ops;
-    liveness_passes = !passes;
   }
