@@ -1,83 +1,64 @@
-(** Block-granularity liveness for Umbra IR values.
+(** Block-granularity liveness for Umbra IR values, on the shared
+    {!Qcomp_support.Block_liveness} solver.
 
     Backward dataflow over the CFG. Phi inputs are treated as uses at the
     end of the corresponding predecessor (standard SSA liveness), so a phi's
     own block does not keep its inputs live. DirectEmit consumes this to
-    approximate live intervals; the verifier and tests use it as an oracle. *)
+    approximate live intervals; tests check it on loops and straight-line
+    code. Only the sets of blocks reachable from the entry are meaningful. *)
 
 open Qcomp_support
 
-type t = {
+type t = Block_liveness.t = {
   live_in : Bitset.t array;  (** per block, over value ids *)
   live_out : Bitset.t array;
 }
 
 let compute (f : Func.t) =
   let nb = Func.num_blocks f in
-  let nv = Func.num_insts f in
-  let live_in = Array.init nb (fun _ -> Bitset.create nv) in
-  let live_out = Array.init nb (fun _ -> Bitset.create nv) in
-  (* Per-block: def set and upward-exposed-use set (phi uses excluded,
-     phi defs included). *)
-  let defs = Array.init nb (fun _ -> Bitset.create nv) in
-  let gen = Array.init nb (fun _ -> Bitset.create nv) in
+  let insts b = Func.block_insts f b in
   (* Phi uses contribute to the *predecessor's* live-out. *)
-  let phi_uses = Array.make nb [] (* per pred block: value list *) in
+  let phi_uses = Array.make nb [] in
   for b = 0 to nb - 1 do
-    let insts = Func.block_insts f b in
     Vec.iter
       (fun i ->
-        (match Func.op f i with
-        | Op.Phi ->
-            List.iter
-              (fun (pred, v) ->
-                if v >= 0 then phi_uses.(pred) <- v :: phi_uses.(pred))
-              (Func.phi_incoming f i)
-        | _ ->
-            Func.iter_operands f i (fun v ->
-                if v >= 0 && not (Bitset.mem defs.(b) v) then
-                  Bitset.add gen.(b) v));
-        if Func.ty f i <> Ty.Void then Bitset.add defs.(b) i)
-      insts
+        if Func.op f i = Op.Phi then
+          List.iter
+            (fun (pred, v) -> phi_uses.(pred) <- v :: phi_uses.(pred))
+            (Func.phi_incoming f i))
+      (insts b)
   done;
-  (* Arguments are defined in the entry block. *)
-  for a = 0 to Func.n_args f - 1 do
-    Bitset.add defs.(Func.entry_block) a
-  done;
-  (* Iterate to fixpoint in reverse RPO. *)
-  let order = Graph.Func_analysis.rpo f in
-  let changed = ref true in
-  let tmp = Bitset.create nv in
-  while !changed do
-    changed := false;
-    for oi = Array.length order - 1 downto 0 do
-      let b = order.(oi) in
-      (* live_out(b) = union over succs s of (live_in(s)) plus phi uses
-         flowing along the edge b->s (already folded into phi_uses.(b)). *)
-      Bitset.clear tmp;
-      Func.iter_succs f b (fun s -> ignore (Bitset.union_into ~src:live_in.(s) tmp));
-      List.iter (fun v -> Bitset.add tmp v) phi_uses.(b);
-      if not (Bitset.equal tmp live_out.(b)) then begin
-        ignore (Bitset.union_into ~src:tmp live_out.(b));
-        changed := true
-      end;
-      (* live_in(b) = gen(b) ∪ (live_out(b) \ defs(b)) *)
-      Bitset.clear tmp;
-      ignore (Bitset.union_into ~src:live_out.(b) tmp);
-      Bitset.iter (fun v -> Bitset.remove tmp v) defs.(b);
-      ignore (Bitset.union_into ~src:gen.(b) tmp);
-      if not (Bitset.equal tmp live_in.(b)) then begin
-        ignore (Bitset.union_into ~src:tmp live_in.(b));
-        changed := true
-      end
-    done
-  done;
-  { live_in; live_out }
-
-(** Phi defs of a block (needed by consumers that place phi moves). *)
-let block_phi_defs f b =
-  let acc = ref [] in
-  Vec.iter
-    (fun i -> if Func.op f i = Op.Phi then acc := i :: !acc)
-    (Func.block_insts f b);
-  List.rev !acc
+  (* The arguments are defined in the entry block, after its instructions
+     as far as the backward scan is concerned: they join its kill set, and
+     an argument the entry block uses is live into it. *)
+  let args = List.init (Func.n_args f) Fun.id in
+  let length b =
+    Vec.length (insts b) + if b = Func.entry_block && args <> [] then 1 else 0
+  in
+  let defs_uses b k =
+    if k = Vec.length (insts b) then (args, [])
+    else
+      let i = Vec.get (insts b) k in
+      let defs = if Func.ty f i <> Ty.Void then [ i ] else [] in
+      match Func.op f i with
+      | Op.Phi -> (defs, [])
+      | _ ->
+          let uses = ref [] in
+          Func.iter_operands f i (fun v -> uses := v :: !uses);
+          (defs, !uses)
+  in
+  let succs b =
+    let acc = ref [] in
+    Func.iter_succs f b (fun s -> acc := s :: !acc);
+    !acc
+  in
+  Block_liveness.solve
+    ~exit_uses:(fun b -> phi_uses.(b))
+    {
+      Block_liveness.nblocks = nb;
+      nvregs = Func.num_insts f;
+      vreg_base = 0;
+      succs;
+      length;
+      defs_uses;
+    }
