@@ -1,6 +1,6 @@
 (* Golden artifact digests: for every TPC-H-like and TPC-DS-like query, the
    MD5 of the relocatable artifact (code bytes, symbol table, relocation
-   list) that each register-allocating back-end and DirectEmit emit,
+   list) that each register-allocating back-end, DirectEmit and stencil emit,
    compared line for line against test/golden/artifacts.txt. Compilation
    is deterministic,
    so a change to instruction selection, register allocation or emission
@@ -36,8 +36,8 @@ let digest (a : Artifact.t) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* (target, back-ends) pairs under test: the x86-64 back-ends that run a
-   register allocator or a liveness analysis, and the greedy allocator once
-   more on AArch64 *)
+   register allocator or a liveness analysis, the copy-and-patch stencil
+   back-end, and the greedy allocator once more on AArch64 *)
 let configs =
   let open Qcomp_vm in
   [
@@ -48,6 +48,7 @@ let configs =
         Engine.llvm_opt;
         Engine.gcc;
         Engine.directemit;
+        Engine.stencil;
       ] );
     (Target.a64, [ Engine.llvm_opt ]);
   ]
