@@ -361,7 +361,7 @@ let compile_module ?(params = ([||] : Qcomp_backend.Artifact.param_value array))
         Emu.set_reg e target.Target.ret_regs.(0) rlo;
         Emu.set_reg e target.Target.ret_regs.(1) rhi
       in
-      let addr = Emu.add_runtime emu ("interp:" ^ f.Func.name) entry in
+      let addr = Emu.add_runtime emu entry in
       fns := (f.Func.name, addr) :: !fns)
     m.Func.funcs;
   let fns = List.rev !fns in

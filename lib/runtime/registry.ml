@@ -12,7 +12,6 @@ open Qcomp_vm
 
 type t = {
   index : (string, int) Hashtbl.t;
-  names : string array;
   fns : (Emu.t -> unit) array;
 }
 
@@ -238,14 +237,10 @@ let create ?(ht_profile = Htable.Tagged) target =
   let fl = functions target ~ht_profile in
   let index = Hashtbl.create 64 in
   List.iteri (fun i (name, _) -> Hashtbl.add index name i) fl;
-  {
-    index;
-    names = Array.of_list (List.map fst fl);
-    fns = Array.of_list (List.map snd fl);
-  }
+  { index; fns = Array.of_list (List.map snd fl) }
 
 (** Install the table into an emulator instance. *)
-let install t emu = Emu.set_runtime emu t.fns t.names
+let install t emu = Emu.set_runtime emu t.fns
 
 let slot t name =
   match Hashtbl.find_opt t.index name with

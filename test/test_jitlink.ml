@@ -17,7 +17,7 @@ let suite =
         let target = Target.x64 in
         let emu = Emu.create ~mem_size:(1 lsl 21) target in
         let ext_addr =
-          Emu.add_runtime emu "umbra_test_ext" (fun e ->
+          Emu.add_runtime emu (fun e ->
               let v = Emu.reg e (Emu.arg_reg e 0) in
               Emu.set_reg e target.Target.ret_regs.(0) (Int64.mul v 10L))
         in
