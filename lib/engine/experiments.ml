@@ -9,6 +9,7 @@
 open Qcomp_support
 
 module Spec = Qcomp_workloads.Spec
+module Emu = Qcomp_vm.Emu
 
 type workload = Tpch | Tpcds
 
@@ -51,6 +52,7 @@ type workload_result = {
   wr_functions : int;
   wr_timing : Timing.t;  (** accumulated phase breakdown *)
   wr_stats : (string * int) list;  (** accumulated back-end counters *)
+  wr_decode : Emu.decode_stats;  (** the emulator's decode work in this run *)
 }
 
 let merge_stats acc stats =
@@ -66,6 +68,7 @@ let run_workload ?(execute = true) ?(timing_enabled = true) db
   let timing = Timing.create ~enabled:timing_enabled () in
   let results = ref [] in
   let stats = ref [] in
+  let d0 = Emu.decode_stats db.Engine.emu in
   List.iter
     (fun (q : Spec.query) ->
       let cq = Engine.plan_to_ir db ~name:q.Spec.q_name q.Spec.q_plan in
@@ -100,6 +103,7 @@ let run_workload ?(execute = true) ?(timing_enabled = true) db
         :: !results)
     queries;
   let qs = List.rev !results in
+  let d1 = Emu.decode_stats db.Engine.emu in
   {
     wr_backend = Qcomp_backend.Backend.name backend;
     wr_queries = qs;
@@ -108,6 +112,12 @@ let run_workload ?(execute = true) ?(timing_enabled = true) db
     wr_functions = List.fold_left (fun a q -> a + q.qr_functions) 0 qs;
     wr_timing = timing;
     wr_stats = !stats;
+    wr_decode =
+      {
+        Emu.decoded_modules = d1.Emu.decoded_modules - d0.Emu.decoded_modules;
+        decoded_bytes = d1.Emu.decoded_bytes - d0.Emu.decoded_bytes;
+        decode_s = d1.Emu.decode_s -. d0.Emu.decode_s;
+      };
   }
 
 (** Fresh-database convenience wrapper. *)

@@ -45,6 +45,9 @@ type workload_result = {
   wr_functions : int;
   wr_timing : Timing.t;  (** accumulated phase breakdown *)
   wr_stats : (string * int) list;  (** accumulated back-end counters *)
+  wr_decode : Qcomp_vm.Emu.decode_stats;
+      (** the emulator's decode work during the run: code is decoded on its
+          first fetch, so a compile-only run decodes nothing *)
 }
 
 (** Compile and (optionally) execute a list of queries against [db].
